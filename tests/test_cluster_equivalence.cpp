@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -112,9 +114,11 @@ std::vector<Response> drain_unsharded(const std::vector<Request>& batch) {
   return responses;
 }
 
-std::vector<Response> drain_cluster(const std::vector<Request>& batch,
-                                    std::size_t shards,
-                                    ShardingPolicy policy) {
+// `dark_shard` (when in range) loses its only replica before the drain.
+std::vector<Response> drain_cluster(
+    const std::vector<Request>& batch, std::size_t shards,
+    ShardingPolicy policy,
+    std::size_t dark_shard = std::numeric_limits<std::size_t>::max()) {
   const auto& split = sharded(shards, policy);
   std::vector<SnapshotView> storage;
   storage.reserve(split.shards.size());
@@ -124,6 +128,7 @@ std::vector<Response> drain_cluster(const std::vector<Request>& batch,
   ClusterConfig config;
   config.server.queue_capacity = batch.size() + 16;
   ClusterServer cluster(&split.routing, ptrs, config);
+  if (dark_shard < shards) cluster.kill_replica(dark_shard, 0);
   for (const auto& q : batch) {
     EXPECT_EQ(cluster.submit(q), ServeStatus::kOk);
   }
@@ -184,6 +189,67 @@ TEST(ClusterEquivalence, ScatterCostsMatchTheEngineExactly) {
     EXPECT_EQ(want[i].status, got[i].status) << i;
     EXPECT_EQ(want[i].cost, got[i].cost) << i;
     ASSERT_EQ(want[i].payload, got[i].payload) << i;
+  }
+}
+
+std::uint64_t payload_digest(const std::vector<std::uint8_t>& payload) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : payload) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ClusterEquivalence, DarkShardScatterAnswersArePinned) {
+  // Degraded answers have no unsharded twin to compare against, so each
+  // scatter family's dark-shard outcome is pinned absolutely: status,
+  // flags, virtual cost and an FNV-1a digest of the payload.
+  std::vector<Request> batch;
+  auto add = [&](RequestType type, graph::NodeId user, graph::NodeId target,
+                 std::uint32_t limit, std::uint32_t budget) {
+    Request q;
+    q.type = type;
+    q.user = user;
+    q.target = target;
+    q.limit = limit;
+    q.cost_budget = budget;
+    batch.push_back(q);
+  };
+  add(RequestType::kShortestPath, 291, 3906, 0, 0);
+  add(RequestType::kShortestPath, 970, 3689, 0, 0);
+  add(RequestType::kShortestPath, 291, 3906, 0, 100);  // deadline too
+  add(RequestType::kTopK, 0, 0, 0, 0);
+  add(RequestType::kTopK, 0, 0, 20, 0);
+  add(RequestType::kTopK, 0, 0, 50, 7);
+  add(RequestType::kSuggest, 3, 0, 10, 0);
+  add(RequestType::kSuggest, 262, 0, 10, 0);
+  add(RequestType::kSuggest, 288, 0, 10, 60);  // deadline too
+  struct Pin {
+    ServeStatus status;
+    std::uint8_t flags;
+    std::uint64_t cost;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {ServeStatus::kOk, 3, 253, 7305932405324287213ULL},
+      {ServeStatus::kOk, 3, 373, 2362604014524544525ULL},
+      {ServeStatus::kDeadlineExceeded, 3, 101, 15752922573563620981ULL},
+      {ServeStatus::kOk, 3, 101, 7082780933003171688ULL},
+      {ServeStatus::kOk, 3, 21, 11987370831363165230ULL},
+      {ServeStatus::kDeadlineExceeded, 3, 8, 11085187733707530498ULL},
+      {ServeStatus::kOk, 3, 181, 13803387283881333159ULL},
+      {ServeStatus::kOk, 3, 379, 598256823297227553ULL},
+      {ServeStatus::kDeadlineExceeded, 3, 61, 2003499333201237074ULL},
+  };
+  const auto got =
+      drain_cluster(batch, 4, ShardingPolicy::kRankStripe, /*dark_shard=*/1);
+  ASSERT_EQ(got.size(), std::size(pins));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].status, pins[i].status) << i;
+    EXPECT_EQ(got[i].flags, pins[i].flags) << i;
+    EXPECT_EQ(got[i].cost, pins[i].cost) << i;
+    EXPECT_EQ(payload_digest(got[i].payload), pins[i].digest) << i;
   }
 }
 
@@ -292,6 +358,25 @@ TEST_P(ClusterLaneEquivalence, StormStateBitIdenticalAcrossLaneCounts) {
   EXPECT_EQ(base.dark_answers, got.dark_answers);
   EXPECT_EQ(base.post_probe_checksum, got.post_probe_checksum);
   EXPECT_EQ(base.unsharded_probe_checksum, got.unsharded_probe_checksum);
+  // Absolute values for this config, so a change that keeps the two runs
+  // equal but moves a degraded answer still fails.
+  for (const ClusterStormReport* report : {&base, &got}) {
+    EXPECT_EQ(report->checksum, 11114877175190955148ULL);
+    EXPECT_EQ(report->by_status,
+              (std::array<std::uint64_t, kServeStatusCount>{1117, 12, 0, 0, 0,
+                                                            0, 0, 23, 0}));
+    EXPECT_EQ(report->dark_answers, 70U);
+    EXPECT_EQ(report->quorum_answers, 0U);
+    EXPECT_EQ(report->cluster.messages, 1995U);
+    const TransportStats& t = report->transport;
+    EXPECT_EQ((std::array<std::uint64_t, 18>{
+                  t.rpcs, t.attempts, t.delivered, t.failed, t.dropped,
+                  t.delayed, t.timeouts, t.retries, t.hedges, t.hedge_wins,
+                  t.duplicates, t.dup_suppressed, t.reorders, t.breaker_open,
+                  t.breaker_close, t.breaker_probes, t.breaker_skips,
+                  t.ticks}),
+              (std::array<std::uint64_t, 18>{}));  // transport disabled
+  }
 }
 
 std::vector<std::size_t> lane_counts() {

@@ -6,6 +6,7 @@
 // thread bit-identity). Runs under the .threads1 CTest variant too.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -454,9 +455,33 @@ ClusterStormConfig storm_config() {
   return config;
 }
 
+// Absolute storm outcome for storm_config(). The lane-count comparisons
+// below only prove two runs agree; these values pin the run itself, so a
+// change that reorders a scatter level's transport probes or moves a
+// degradation flag fails here even when it is lane-count independent.
+void expect_storm_pins(const ClusterStormReport& report) {
+  EXPECT_EQ(report.checksum, 14984969015041908451ULL);
+  EXPECT_EQ(report.by_status,
+            (std::array<std::uint64_t, kServeStatusCount>{
+                4092, 82, 0, 0, 0, 0, 0, 434, 0}));
+  EXPECT_EQ(report.dark_answers, 269U);
+  EXPECT_EQ(report.quorum_answers, 548U);
+  EXPECT_EQ(report.cluster.messages, 6815U);
+  const TransportStats& t = report.transport;
+  EXPECT_EQ((std::array<std::uint64_t, 18>{
+                t.rpcs, t.attempts, t.delivered, t.failed, t.dropped,
+                t.delayed, t.timeouts, t.retries, t.hedges, t.hedge_wins,
+                t.duplicates, t.dup_suppressed, t.reorders, t.breaker_open,
+                t.breaker_close, t.breaker_probes, t.breaker_skips, t.ticks}),
+            (std::array<std::uint64_t, 18>{8293, 9297, 8244, 49, 530, 852,
+                                           547, 498, 506, 367, 174, 174, 10,
+                                           16, 9, 14, 879, 28474}));
+}
+
 TEST(TransportStorm, ReconcilesRegistryAndDegradesExplicitly) {
   const ClusterStormReport report =
       run_cluster_storm(sharded4(), full_view(), storm_config());
+  expect_storm_pins(report);
   EXPECT_TRUE(report.violations.empty())
       << "first violation: " << report.violations.front();
   EXPECT_EQ(report.offered, report.accepted + report.rejected);
@@ -499,6 +524,8 @@ TEST(TransportStorm, BitIdenticalAtOneThreadAndMany) {
   EXPECT_EQ(many.transport.ticks, one.transport.ticks);
   EXPECT_EQ(many.post_probe_checksum, one.post_probe_checksum);
   EXPECT_TRUE(many.violations.empty() && one.violations.empty());
+  expect_storm_pins(many);
+  expect_storm_pins(one);
 }
 
 }  // namespace
