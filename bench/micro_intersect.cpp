@@ -1,6 +1,6 @@
 // Microbenchmark for the shared sorted-set intersection kernels
-// (algo/intersect.h): scalar merge, galloping, SSE2/AVX2 block compare
-// and the bitset-window variant, swept across skewed list-length ratios.
+// (algo/intersect.h): scalar merge, galloping and SSE2/AVX2 block
+// compare, swept across skewed list-length ratios.
 //
 // The skew sweep is the point: the adjacency intersections behind the
 // triangle census, Jaccard scoring and the kSuggest mutual-count all hit
@@ -81,8 +81,10 @@ int main() {
       {"r512", kLarge / 512, kLarge},
   };
   const IntersectKernel kernels[] = {
-      IntersectKernel::kScalar, IntersectKernel::kGalloping,
-      IntersectKernel::kSse, IntersectKernel::kAvx2, IntersectKernel::kBitset,
+      IntersectKernel::kScalar,
+      IntersectKernel::kGalloping,
+      IntersectKernel::kSse,
+      IntersectKernel::kAvx2,
   };
 
   std::printf("host SIMD: sse=%s avx2=%s  (repeats: best of %zu)\n\n",

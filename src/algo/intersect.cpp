@@ -77,49 +77,6 @@ std::size_t run_galloping(std::span<const NodeId> a, std::span<const NodeId> b,
   return count;
 }
 
-// 4096-value windows, 64 words each: bits set from one list, probed by the
-// other. Both cursors advance through windows in lockstep, so the probe
-// order (and thus the emitted sequence) stays ascending.
-constexpr std::uint64_t kWindowValues = 4096;
-
-std::size_t run_bitset(std::span<const NodeId> a, std::span<const NodeId> b,
-                       std::vector<NodeId>* out) {
-  std::uint64_t words[kWindowValues / 64];
-  std::size_t i = 0, j = 0, count = 0;
-  while (i < a.size() && j < b.size()) {
-    const std::uint64_t lead = std::max(a[i], b[j]);
-    const std::uint64_t base = lead - lead % kWindowValues;
-    const std::uint64_t limit = base + kWindowValues;
-    i = static_cast<std::size_t>(
-        std::lower_bound(a.begin() + static_cast<std::ptrdiff_t>(i), a.end(),
-                         static_cast<NodeId>(base)) -
-        a.begin());
-    j = static_cast<std::size_t>(
-        std::lower_bound(b.begin() + static_cast<std::ptrdiff_t>(j), b.end(),
-                         static_cast<NodeId>(base)) -
-        b.begin());
-    if (i >= a.size() || j >= b.size()) break;
-    if (a[i] >= limit || b[j] >= limit) continue;  // disjoint windows: re-aim
-    for (std::uint64_t& w : words) w = 0;
-    std::size_t i2 = i;
-    while (i2 < a.size() && a[i2] < limit) {
-      const std::uint64_t bit = a[i2] - base;
-      words[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-      ++i2;
-    }
-    while (j < b.size() && b[j] < limit) {
-      const std::uint64_t bit = b[j] - base;
-      if ((words[bit >> 6] >> (bit & 63)) & 1U) {
-        ++count;
-        if (out != nullptr) out->push_back(b[j]);
-      }
-      ++j;
-    }
-    i = i2;
-  }
-  return count;
-}
-
 #if defined(GPLUS_INTERSECT_X86)
 
 // Block-compare kernels: load one block from each list, compare all pairs
@@ -255,7 +212,6 @@ std::size_t run_kernel(std::span<const NodeId> a, std::span<const NodeId> b,
   }
   switch (kernel) {
     case IntersectKernel::kGalloping: return run_galloping(a, b, out);
-    case IntersectKernel::kBitset: return run_bitset(a, b, out);
 #if defined(GPLUS_INTERSECT_X86)
     case IntersectKernel::kSse: return run_sse(a, b, out);
     case IntersectKernel::kAvx2: return run_avx2(a, b, out);
@@ -273,7 +229,6 @@ std::string_view intersect_kernel_name(IntersectKernel kernel) noexcept {
     case IntersectKernel::kGalloping: return "galloping";
     case IntersectKernel::kSse: return "sse";
     case IntersectKernel::kAvx2: return "avx2";
-    case IntersectKernel::kBitset: return "bitset";
   }
   return "?";
 }
@@ -293,7 +248,7 @@ IntersectKernel intersect_kernel_from_env(const char* raw) {
   }
   std::fprintf(stderr,
                "gplus: invalid GPLUS_INTERSECT='%s' (want auto, scalar, "
-               "galloping, sse, avx2 or bitset)\n",
+               "galloping, sse or avx2)\n",
                raw);
   std::exit(2);
 }

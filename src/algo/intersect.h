@@ -18,9 +18,6 @@
 //   kAvx2       8-lane AVX2 block compare, compiled with a per-function
 //               target attribute (no global -mavx2) and dispatched off
 //               __builtin_cpu_supports; falls back to kSse, then scalar.
-//   kBitset     4096-value windows materialised as 64-bit words: set bits
-//               from one list, probe with the other; wins on dense,
-//               range-aligned lists.
 //   kAuto       runtime heuristic (skew ratio, then widest SIMD available),
 //               overridable process-wide for A/B runs via the
 //               GPLUS_INTERSECT env var or set_default_intersect_kernel().
@@ -44,11 +41,10 @@ enum class IntersectKernel : std::uint8_t {
   kGalloping,
   kSse,
   kAvx2,
-  kBitset,
 };
-inline constexpr std::size_t kIntersectKernelCount = 6;
+inline constexpr std::size_t kIntersectKernelCount = 5;
 
-/// Display name ("auto", "scalar", "galloping", "sse", "avx2", "bitset").
+/// Display name ("auto", "scalar", "galloping", "sse", "avx2").
 std::string_view intersect_kernel_name(IntersectKernel kernel) noexcept;
 
 /// Parses a kernel name; returns kAuto for unknown strings.

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -139,6 +140,18 @@ struct EngineConfig {
   std::uint64_t suggest_expand_budget = 65'536;
 };
 
+/// (node, in_degree) — a TopK entry.
+using RankedNode = std::pair<graph::NodeId, std::uint64_t>;
+
+/// Precomputed TopK state: per-shard top-`topk_cap` lists over owned
+/// nodes, descending in-degree with ties by ascending id (the Table 1
+/// ordering), plus the global maximum in-degree (the Suggest hub-feature
+/// normalizer). The unsharded engine holds one list.
+struct TopKTable {
+  std::vector<std::vector<RankedNode>> lists;
+  std::uint64_t max_in_degree = 0;
+};
+
 /// Stateless-per-request executor. Holds the snapshot view plus a
 /// precomputed top-`topk_cap` in-degree ranking (built once, immutable).
 /// Thread-safe: `execute` only reads.
@@ -180,19 +193,10 @@ class RequestEngine {
                   Meter& meter) const;
   void reciprocity(graph::NodeId u, Response& r) const;
   void degree(graph::NodeId u, Response& r) const;
-  void shortest_path(graph::NodeId u, graph::NodeId v, Response& r,
-                     Meter& meter) const;
-  void top_k(std::uint32_t limit, Response& r, Meter& meter) const;
-  void suggest(const Request& q, Response& r, Meter& meter) const;
 
   const SnapshotView* snapshot_;
   EngineConfig config_;
-  /// Precomputed (node, in_degree) ranking, descending degree, ties by
-  /// ascending id — the Table 1 ordering.
-  std::vector<std::pair<graph::NodeId, std::uint64_t>> topk_;
-  /// Global maximum in-degree (the Suggest hub-feature normalizer),
-  /// found during the same construction walk that builds topk_.
-  std::uint64_t max_in_degree_ = 0;
+  TopKTable top_;
 };
 
 /// 64-bit cache/dedup key of a request (splitmix64-mixed fields).

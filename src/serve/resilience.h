@@ -234,7 +234,6 @@ class ResilientServer {
   const QueryServer& server() const noexcept { return server_; }
   SnapshotManager& manager() noexcept { return manager_; }
   ServerStats stats_snapshot() const { return server_.stats_snapshot(); }
-  ServerStats stats() const { return stats_snapshot(); }
 
  private:
   /// Self-consistency canary over the freshly bound engine: profile

@@ -138,12 +138,9 @@ class QueryServer {
   /// included. Submit/drain/stats are coordinator-thread operations, so a
   /// snapshot taken between drains is consistent: no field can move while
   /// it is being assembled. This is the canonical accessor for every final
-  /// report — reading `stats()` and `cache().stats()` separately risks the
-  /// two disagreeing if work happens in between.
+  /// report — reading server and `cache().stats()` counters separately
+  /// risks the two disagreeing if work happens in between.
   ServerStats stats_snapshot() const;
-
-  /// Back-compat alias for stats_snapshot().
-  ServerStats stats() const { return stats_snapshot(); }
 
   const ServerConfig& config() const noexcept { return config_; }
   /// The bound engine, or nullptr while degraded.

@@ -1,9 +1,9 @@
 // Kernel-variant equivalence for the shared sorted-set intersection layer
 // (algo/intersect.h). The load-bearing property: every kernel — scalar,
-// galloping, SSE, AVX2, bitset — returns the same count and the same
+// galloping, SSE, AVX2 — returns the same count and the same
 // ascending element sequence as std::set_intersection on every input, so
 // variant dispatch can never change a serving payload. Edge cases (empty,
-// disjoint, identical, subset, extreme skew, window boundaries) are pinned
+// disjoint, identical, subset, extreme skew) are pinned
 // explicitly; a seeded fuzz sweep covers the space in between.
 #include <algorithm>
 #include <cstdint>
@@ -24,9 +24,10 @@ using gplus::graph::NodeId;
 // Every concrete variant (kAuto exercised separately — it resolves to one
 // of these, so equivalence of the concrete set covers it).
 const IntersectKernel kAllKernels[] = {
-    IntersectKernel::kScalar, IntersectKernel::kGalloping,
-    IntersectKernel::kSse,    IntersectKernel::kAvx2,
-    IntersectKernel::kBitset,
+    IntersectKernel::kScalar,
+    IntersectKernel::kGalloping,
+    IntersectKernel::kSse,
+    IntersectKernel::kAvx2,
 };
 
 std::vector<NodeId> reference_intersection(const std::vector<NodeId>& a,
@@ -86,7 +87,7 @@ TEST(IntersectKernels, EmptyInputs) {
 TEST(IntersectKernels, DisjointLists) {
   expect_all_kernels_match({1, 3, 5, 7}, {2, 4, 6, 8}, "interleaved disjoint");
   expect_all_kernels_match({1, 2, 3, 4}, {100, 200, 300}, "range disjoint");
-  // Disjoint across distant bitset windows (window = 4096 values).
+  // Disjoint across distant value ranges.
   expect_all_kernels_match({1, 2, 3}, {40'960, 81'920, 123'456},
                            "window disjoint");
 }
@@ -106,21 +107,6 @@ TEST(IntersectKernels, SingleElementAndBoundaryValues) {
   expect_all_kernels_match({0, max}, {max}, "max id");
   expect_all_kernels_match({0}, {0}, "zero only");
   expect_all_kernels_match({max - 1}, {max}, "adjacent near max");
-}
-
-TEST(IntersectKernels, BitsetWindowBoundaries) {
-  // Values straddling multiples of the 4096-value bitset window, including
-  // runs that fill a window edge-to-edge.
-  std::vector<NodeId> a;
-  std::vector<NodeId> b;
-  for (NodeId base : {0u, 4095u, 4096u, 8191u, 8192u, 12'288u}) {
-    a.push_back(base);
-    if (base % 2 == 0) b.push_back(base);
-  }
-  for (NodeId v = 4090; v < 4102; ++v) b.push_back(v);
-  std::sort(b.begin(), b.end());
-  b.erase(std::unique(b.begin(), b.end()), b.end());
-  expect_all_kernels_match(a, b, "window straddle");
 }
 
 TEST(IntersectKernels, ExtremeSkew) {
@@ -229,7 +215,7 @@ TEST(IntersectEnv, StrictParsersAcceptValidInput) {
   EXPECT_EQ(intersect_kernel_from_env("auto"), IntersectKernel::kAuto);
   EXPECT_EQ(intersect_kernel_from_env("galloping"),
             IntersectKernel::kGalloping);
-  EXPECT_EQ(intersect_kernel_from_env("bitset"), IntersectKernel::kBitset);
+  EXPECT_EQ(intersect_kernel_from_env("avx2"), IntersectKernel::kAvx2);
   EXPECT_EQ(parse_intersect_skew_env("2"), 2u);
   EXPECT_EQ(parse_intersect_skew_env("32"), 32u);
   EXPECT_EQ(parse_intersect_skew_env("1000000"), 1'000'000u);
@@ -248,6 +234,8 @@ TEST(IntersectEnvDeathTest, InvalidEnvValuesFailFast) {
   EXPECT_EXIT(intersect_kernel_from_env("AVX2"), died,
               "invalid GPLUS_INTERSECT");
   EXPECT_EXIT(intersect_kernel_from_env(""), died, "invalid GPLUS_INTERSECT");
+  EXPECT_EXIT(intersect_kernel_from_env("bitset"), died,
+              "invalid GPLUS_INTERSECT");
   EXPECT_EXIT(parse_intersect_skew_env("1"), died,
               "invalid GPLUS_INTERSECT_SKEW");
   EXPECT_EXIT(parse_intersect_skew_env("1000001"), died,

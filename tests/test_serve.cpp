@@ -314,7 +314,7 @@ TEST_F(QueryServerTest, BoundedQueueRejectsExplicitly) {
   server.drain(responses);
   EXPECT_EQ(responses.size(), 4u);
   EXPECT_EQ(server.pending(), 0u);
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.accepted, 4u);
   EXPECT_EQ(stats.rejected, 2u);
   EXPECT_EQ(stats.served, 4u);
@@ -347,7 +347,7 @@ TEST_F(QueryServerTest, CacheServesRepeatedProfiles) {
     }
     server.drain(responses);
   }
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.cache.misses, 10u);  // first round only
   EXPECT_EQ(stats.cache.hits, 20u);    // rounds 2 and 3
   EXPECT_EQ(stats.per_type[static_cast<std::size_t>(RequestType::kGetProfile)],
@@ -372,8 +372,8 @@ TEST_F(QueryServerTest, ErrorsAreNotCached) {
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses[0].status, ServeStatus::kInvalidNode);
   }
-  EXPECT_EQ(server.stats().cache.hits, 0u);
-  EXPECT_EQ(server.stats().cache.entries, 0u);
+  EXPECT_EQ(server.stats_snapshot().cache.hits, 0u);
+  EXPECT_EQ(server.stats_snapshot().cache.entries, 0u);
 }
 
 TEST(ServeNames, StatusAndTypeNamesAreStable) {

@@ -192,7 +192,7 @@ TEST(SheddingTest, HighPriorityShedsLowestFirst) {
   EXPECT_EQ(responses[3].status, ServeStatus::kOk);      // normal
   EXPECT_EQ(responses[4].status, ServeStatus::kOk);      // high
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.accepted, 5u);
   EXPECT_EQ(stats.rejected, 2u);
   EXPECT_EQ(stats.shed, 2u);
@@ -263,7 +263,7 @@ TEST(DegradedModeTest, ServesStaleCacheThenUnavailable) {
   EXPECT_EQ(responses[1].status, ServeStatus::kUnavailable);
   EXPECT_EQ(responses[2].status, ServeStatus::kUnavailable);
 
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.stale_served, 1u);
   EXPECT_EQ(stats.unavailable, 2u);
   EXPECT_EQ(stats.cache.stale_hits, 1u);
@@ -441,18 +441,18 @@ TEST(HotSwapTest, FailedCanaryKeepsCacheCommittedSwapClearsIt) {
   resilient.drain(responses);
   ASSERT_EQ(resilient.submit(profile), ServeStatus::kOk);
   resilient.drain(responses);
-  ASSERT_EQ(resilient.stats().cache.hits, 1u);
+  ASSERT_EQ(resilient.stats_snapshot().cache.hits, 1u);
 
   // A rolled-back install must not wipe still-valid entries.
   ASSERT_TRUE(resilient.install(SnapshotBuffer(snapshot_b()), true).rolled_back);
   ASSERT_EQ(resilient.submit(profile), ServeStatus::kOk);
   resilient.drain(responses);
-  EXPECT_EQ(resilient.stats().cache.hits, 2u);
+  EXPECT_EQ(resilient.stats_snapshot().cache.hits, 2u);
 
   // A committed swap serves a different graph: the cache must start over.
   ASSERT_TRUE(resilient.install(SnapshotBuffer(snapshot_b())).installed);
-  EXPECT_EQ(resilient.stats().cache.entries, 0u);
-  EXPECT_EQ(resilient.stats().cache.hits, 0u);
+  EXPECT_EQ(resilient.stats_snapshot().cache.entries, 0u);
+  EXPECT_EQ(resilient.stats_snapshot().cache.hits, 0u);
 }
 
 TEST(HotSwapTest, KillKeepsStaleCacheAndRollbackRestores) {
@@ -481,7 +481,7 @@ TEST(HotSwapTest, KillKeepsStaleCacheAndRollbackRestores) {
   resilient.drain(responses);
   EXPECT_EQ(responses[0].status, ServeStatus::kOk);
   EXPECT_EQ(responses[0].payload, payload);
-  EXPECT_GE(resilient.stats().cache.hits, 1u);
+  EXPECT_GE(resilient.stats_snapshot().cache.hits, 1u);
 }
 
 // --- The storm ------------------------------------------------------------

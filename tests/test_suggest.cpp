@@ -258,8 +258,7 @@ TEST_F(SuggestStandard, BitIdenticalAcrossIntersectKernelVariants) {
   }
   const algo::IntersectKernel variants[] = {
       algo::IntersectKernel::kGalloping, algo::IntersectKernel::kSse,
-      algo::IntersectKernel::kAvx2, algo::IntersectKernel::kBitset,
-      algo::IntersectKernel::kAuto,
+      algo::IntersectKernel::kAvx2, algo::IntersectKernel::kAuto,
   };
   for (const algo::IntersectKernel kernel : variants) {
     algo::set_default_intersect_kernel(kernel);
