@@ -379,6 +379,52 @@ TEST_P(ClusterLaneEquivalence, StormStateBitIdenticalAcrossLaneCounts) {
   }
 }
 
+// The same storm with the chaos channels on: fault-injected, shed and
+// deadline-exceeded answers, with a slow budget that cuts slowed paths
+// and suggests mid-walk, so truncated executions run between whole ones
+// on every lane.
+TEST_P(ClusterLaneEquivalence, FaultedStormStateBitIdenticalAcrossLaneCounts) {
+  ClusterStormConfig config;
+  config.seed = 23;
+  config.clients = 24;
+  config.rounds = 48;
+  config.probes = 64;
+  config.replicas = 2;
+  config.chaos.seed = 5;
+  config.chaos.fault_rate = 0.05;
+  config.chaos.slow_rate = 0.25;
+  config.chaos.slow_budget = 120;
+  config.chaos.pressure_rate = 0.2;
+  config.chaos.pressure_capacity = 4;
+  const auto& split = sharded(4, ShardingPolicy::kRankStripe);
+  core::set_thread_count(1);
+  const auto base = run_cluster_storm(split, full_view(), config);
+  core::set_thread_count(GetParam());
+  const auto got = run_cluster_storm(split, full_view(), config);
+  EXPECT_TRUE(base.violations.empty());
+  EXPECT_TRUE(got.violations.empty());
+  EXPECT_EQ(base.checksum, got.checksum);
+  EXPECT_EQ(base.by_status, got.by_status);
+  EXPECT_EQ(base.offered, got.offered);
+  EXPECT_EQ(base.rejected, got.rejected);
+  EXPECT_EQ(base.dark_answers, got.dark_answers);
+  EXPECT_EQ(base.cluster.messages, got.cluster.messages);
+  EXPECT_EQ(base.post_probe_checksum, got.post_probe_checksum);
+  EXPECT_EQ(base.unsharded_probe_checksum, got.unsharded_probe_checksum);
+  // Absolute values for this config, recorded before the family code
+  // moved to per-thread scratch tables.
+  for (const ClusterStormReport* report : {&base, &got}) {
+    EXPECT_EQ(report->checksum, 18202856569376561538ULL);
+    EXPECT_EQ(report->by_status,
+              (std::array<std::uint64_t, kServeStatusCount>{1002, 25, 0, 0,
+                                                            45, 12, 0, 19,
+                                                            42}));
+    EXPECT_EQ(report->rejected, 7U);
+    EXPECT_EQ(report->dark_answers, 62U);
+    EXPECT_EQ(report->cluster.messages, 2015U);
+  }
+}
+
 std::vector<std::size_t> lane_counts() {
   std::vector<std::size_t> lanes{2, 7};
   const std::size_t hw =
