@@ -154,7 +154,10 @@ struct TopKTable {
 
 /// Stateless-per-request executor. Holds the snapshot view plus a
 /// precomputed top-`topk_cap` in-degree ranking (built once, immutable).
-/// Thread-safe: `execute` only reads.
+/// Thread-safe: `execute` reads the engine and the snapshot, and writes
+/// only the calling thread's scratch tables for ShortestPath and Suggest
+/// (DESIGN.md §13), which are reset per request and never change an
+/// answer.
 ///
 /// Deadline model: execution meters deterministic virtual cost — 1 unit
 /// to dispatch any request, plus 1 unit per circle/top-k entry emitted

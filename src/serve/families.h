@@ -3,21 +3,19 @@
 // ShortestPath and TopK, defined here, and Suggest, defined in
 // suggest.cpp.
 //
-// ShortestPath and TopK live in a header so that each server compiles its
-// own copy in the unit that calls it: RequestEngine's single-view copy in
-// engine.cpp, ClusterServer's owner-shard copy in cluster.cpp. With both
-// instantiated in one unit, GCC 12 at -O2 stopped inlining the BFS loop's
-// hash-map lookup, and the cluster BFS took about 4% more CPU time
-// (fixed batches of path requests, 4-core x86-64 host).
+// ShortestPath and TopK live in a header, so each server compiles its own
+// copy in the unit that calls it: RequestEngine's single-view copy in
+// engine.cpp, ClusterServer's owner-shard copy in cluster.cpp.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/engine.h"
+#include "serve/node_map.h"
 #include "serve/wire.h"
 
 namespace gplus::serve {
@@ -26,6 +24,28 @@ namespace gplus::serve {
 inline bool ranks_before(const RankedNode& a, const RankedNode& b) noexcept {
   if (a.second != b.second) return a.second > b.second;
   return a.first < b.first;
+}
+
+/// Per-thread ShortestPath scratch, reused by every path request the
+/// thread runs. `settled` holds each settled node's depth from the user
+/// (index 0) and from the target (index 1), kPathUnreachable where that
+/// side has not reached it; its entries are the request's settled nodes,
+/// at most `path_node_budget`, and so are the frontiers'.
+struct PathScratch {
+  using Depths = std::array<std::uint32_t, 2>;
+  static constexpr Depths kUnsettled{kPathUnreachable, kPathUnreachable};
+
+  NodeMap<Depths> settled;
+  std::vector<graph::NodeId> fwd_frontier;
+  std::vector<graph::NodeId> bwd_frontier;
+  std::vector<graph::NodeId> next;
+};
+
+/// This thread's path scratch (one per thread, shared by both servers'
+/// instantiations).
+inline PathScratch& path_scratch() {
+  thread_local PathScratch scratch;
+  return scratch;
 }
 
 // Payload: distance u32 (kPathUnreachable when no path within bounds),
@@ -51,11 +71,18 @@ void shortest_path(Rows& rows, const EngineConfig& config,
     put_u64(r.payload, 1);
     return;
   }
-  std::unordered_map<graph::NodeId, std::uint32_t> fwd{{u, 0}};
-  std::unordered_map<graph::NodeId, std::uint32_t> bwd{{v, 0}};
-  std::vector<graph::NodeId> fwd_frontier{u};
-  std::vector<graph::NodeId> bwd_frontier{v};
-  std::vector<graph::NodeId> next;
+  // Both sides' depths live in one per-thread table: a scanned neighbor
+  // costs one probe, which also finds the other side's depth.
+  PathScratch& scratch = path_scratch();
+  NodeMap<PathScratch::Depths>& settled = scratch.settled;
+  settled.reset();
+  settled.try_emplace(u, {0, kPathUnreachable});
+  settled.try_emplace(v, {kPathUnreachable, 0});
+  std::vector<graph::NodeId>& fwd_frontier = scratch.fwd_frontier;
+  std::vector<graph::NodeId>& bwd_frontier = scratch.bwd_frontier;
+  std::vector<graph::NodeId>& next = scratch.next;
+  fwd_frontier.assign(1, u);
+  bwd_frontier.assign(1, v);
   std::uint32_t fwd_depth = 0;
   std::uint32_t bwd_depth = 0;
   std::uint64_t expanded = 2;
@@ -72,8 +99,7 @@ void shortest_path(Rows& rows, const EngineConfig& config,
          expanded < config.path_node_budget) {
     const bool forward = fwd_frontier.size() <= bwd_frontier.size();
     auto& frontier = forward ? fwd_frontier : bwd_frontier;
-    auto& mine = forward ? fwd : bwd;
-    auto& other = forward ? bwd : fwd;
+    const std::size_t mine = forward ? 0 : 1;
     const std::uint32_t depth = (forward ? fwd_depth : bwd_depth) + 1;
     rows.begin_level(++level);
     next.clear();
@@ -87,11 +113,15 @@ void shortest_path(Rows& rows, const EngineConfig& config,
       NeighborScan neighbors = forward ? view.out_scan(x) : view.in_scan(x);
       graph::NodeId y = 0;
       while (neighbors.next(y)) {
-        if (!mine.emplace(y, depth).second) continue;
+        PathScratch::Depths& depths =
+            *settled.try_emplace(y, PathScratch::kUnsettled).first;
+        if (depths[mine] != kPathUnreachable) continue;
+        depths[mine] = depth;
         ++expanded;
         if (!meter.charge(1)) deadline = true;
-        if (const auto hit = other.find(y); hit != other.end()) {
-          best = std::min(best, depth + hit->second);
+        if (const std::uint32_t theirs = depths[mine ^ 1];
+            theirs != kPathUnreachable) {
+          best = std::min(best, depth + theirs);
         }
         next.push_back(y);
         if (deadline || expanded >= config.path_node_budget) break;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "algo/intersect.h"
 #include "serve/families.h"
+#include "serve/node_map.h"
 #include "serve/row_source.h"
 #include "serve/wire.h"
 
@@ -19,6 +19,39 @@ struct Candidate {
   std::uint32_t common = 0;
   std::int64_t aa_micro = 0;
 };
+
+/// The ranking: (adamic-adar desc, common desc, id asc), a total order on
+/// distinct candidates.
+bool suggests_before(const Candidate& a, const Candidate& b) noexcept {
+  if (a.aa_micro != b.aa_micro) return a.aa_micro > b.aa_micro;
+  if (a.common != b.common) return a.common > b.common;
+  return a.node < b.node;
+}
+
+/// One 2-hop candidate's evidence, summed in generation order.
+struct Accumulator {
+  graph::NodeId node = 0;
+  std::uint32_t common = 0;
+  double aa = 0.0;
+};
+
+/// Per-thread Suggest scratch, reused by every suggest the thread runs.
+/// `seen` maps each distinct 2-hop node scanned to its index in `found`,
+/// or to kExcluded for the user and their friends, so each distinct node
+/// is checked against the friend list once. All three hold at most one
+/// entry per scanned edge, so at most `suggest_expand_budget`.
+struct SuggestScratch {
+  static constexpr std::uint32_t kExcluded = 0xFFFFFFFF;
+
+  NodeMap<std::uint32_t> seen;
+  std::vector<Accumulator> found;
+  std::vector<Candidate> ranked;
+};
+
+SuggestScratch& suggest_scratch() {
+  thread_local SuggestScratch scratch;
+  return scratch;
+}
 
 /// Gong-style reciprocation likelihood in [0, 1000]: saturating
 /// mutual-neighbor evidence dominates, out/in balance second (parasocial
@@ -81,7 +114,11 @@ void suggest(Rows& rows, const EngineConfig& config,
   // v. The per-candidate accumulation order is the generation order, so
   // the doubles are reproducible; they are frozen to fixed point before
   // ranking.
-  std::unordered_map<graph::NodeId, std::pair<std::uint32_t, double>> scores;
+  SuggestScratch& scratch = suggest_scratch();
+  NodeMap<std::uint32_t>& seen = scratch.seen;
+  std::vector<Accumulator>& found = scratch.found;
+  seen.reset();
+  found.clear();
   std::uint64_t scanned = 0;
   const std::size_t frontier =
       std::min<std::size_t>(friends.size(), config.suggest_frontier_cap);
@@ -109,43 +146,48 @@ void suggest(Rows& rows, const EngineConfig& config,
         deadline = true;
         break;
       }
-      if (w == u) continue;
-      if (std::binary_search(friends.begin(), friends.end(), w)) continue;
-      auto& cell = scores[w];
-      cell.first += 1;
-      cell.second += aa_term;
+      const auto [slot, first_seen] =
+          seen.try_emplace(w, static_cast<std::uint32_t>(found.size()));
+      if (first_seen) {
+        if (w == u || std::binary_search(friends.begin(), friends.end(), w)) {
+          *slot = SuggestScratch::kExcluded;
+          continue;
+        }
+        found.push_back(Accumulator{w});
+      } else if (*slot == SuggestScratch::kExcluded) {
+        continue;
+      }
+      Accumulator& cell = found[*slot];
+      cell.common += 1;
+      cell.aa += aa_term;
     }
     if (scanned >= config.suggest_expand_budget) break;
   }
   rows.end_phase();
 
-  // Rank: (adamic-adar desc, common desc, id asc) — a total order on the
-  // distinct candidates, so the sorted sequence is independent of the
-  // hash map's iteration order. Blocked-owned candidates drop out here
-  // (their rows are unreadable this drain), flagged below.
-  std::vector<Candidate> ranked;
-  ranked.reserve(scores.size());
-  for (const auto& [w, cell] : scores) {
-    if (const std::uint8_t b = rows.blocked(w); b != 0) {
+  // Rank by the total order, so the top `k` do not depend on the order
+  // candidates were found in; only those are sorted. Blocked-owned
+  // candidates drop out here (their rows are unreadable this drain),
+  // flagged below.
+  std::vector<Candidate>& ranked = scratch.ranked;
+  ranked.clear();
+  for (const Accumulator& cell : found) {
+    if (const std::uint8_t b = rows.blocked(cell.node); b != 0) {
       degrade |= b;
       continue;
     }
     ranked.push_back(Candidate{
-        w, cell.first,
-        static_cast<std::int64_t>(std::llround(cell.second * 1e6))});
+        cell.node, cell.common,
+        static_cast<std::int64_t>(std::llround(cell.aa * 1e6))});
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.aa_micro != b.aa_micro) return a.aa_micro > b.aa_micro;
-              if (a.common != b.common) return a.common > b.common;
-              return a.node < b.node;
-            });
+  const std::uint32_t count = static_cast<std::uint32_t>(
+      std::min<std::size_t>(k, ranked.size()));
+  std::partial_sort(ranked.begin(), ranked.begin() + count, ranked.end(),
+                    suggests_before);
 
   // Phase 3 — score + emit. Header: candidates u32, count u32, scanned
   // u64; entries are 24 bytes each. A deadline mid-emission patches the
   // count field (payload[4..7]) and keeps the entries that fit.
-  const std::uint32_t count = static_cast<std::uint32_t>(
-      std::min<std::size_t>(k, ranked.size()));
   put_u32(r.payload, static_cast<std::uint32_t>(ranked.size()));
   put_u32(r.payload, count);
   put_u64(r.payload, scanned);

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <thread>
 #include <vector>
 
 #include "algo/intersect.h"
@@ -418,6 +419,86 @@ TEST_F(SuggestStandard, WorkloadChecksumLaneInvariant) {
   EXPECT_EQ(serial.checksum, threaded.checksum);
   EXPECT_EQ(serial.response_bytes, threaded.response_bytes);
   EXPECT_EQ(serial.served, threaded.served);
+}
+
+
+// Suggest and ShortestPath keep per-thread scratch tables that grow to
+// the largest request a thread has run and are reset, not freed, between
+// requests. A request must answer the same whatever ran before it on its
+// thread: each request below, run in sequence on this thread after hub
+// requests that take the tables to their high-water mark and after
+// deadline-truncated ones that stop mid-scan and mid-BFS, matches the
+// same request run first on a fresh thread byte for byte.
+TEST_F(SuggestStandard, ScratchReuseDoesNotChangeAnswers) {
+  const SnapshotView compressed(v3().bytes());
+  for (const SnapshotView* snapshot : {&view(), &compressed}) {
+    const RequestEngine engine(snapshot);
+    graph::NodeId hub = 0;
+    for (graph::NodeId u = 0; u < kNodes; ++u) {
+      if (snapshot->in_degree(u) > snapshot->in_degree(hub)) hub = u;
+    }
+    const auto far = static_cast<graph::NodeId>((hub + kNodes / 2) % kNodes);
+    const Request hub_suggest{
+        .type = RequestType::kSuggest, .user = hub, .limit = 50};
+    const Request hub_path{
+        .type = RequestType::kShortestPath, .user = far, .target = hub};
+    const Request hub_path_back{
+        .type = RequestType::kShortestPath, .user = hub, .target = far};
+    // Half the full cost: the suggest stops inside its 2-hop scan, the
+    // path inside its BFS.
+    Response full_suggest;
+    Response full_path;
+    engine.execute(hub_suggest, full_suggest);
+    engine.execute(hub_path, full_path);
+    Request cut_suggest = hub_suggest;
+    cut_suggest.cost_budget = static_cast<std::uint32_t>(full_suggest.cost / 2);
+    Request cut_path = hub_path;
+    cut_path.cost_budget = static_cast<std::uint32_t>(full_path.cost / 2);
+
+    std::vector<Request> small;
+    for (graph::NodeId u = 1; u < kNodes; u += 397) {
+      small.push_back({.type = RequestType::kSuggest, .user = u, .limit = 5});
+      small.push_back(
+          {.type = RequestType::kShortestPath,
+           .user = u,
+           .target = static_cast<graph::NodeId>((u * 7 + 3) % kNodes)});
+    }
+    small.push_back(
+        {.type = RequestType::kShortestPath, .user = 9, .target = 9});
+
+    std::vector<Request> sequence{hub_suggest, hub_path, hub_path_back};
+    sequence.insert(sequence.end(), small.begin(), small.end());
+    sequence.push_back(cut_suggest);
+    sequence.push_back(cut_path);
+    sequence.insert(sequence.end(), small.begin(), small.end());
+    sequence.push_back(hub_suggest);
+    sequence.push_back(cut_path);
+    sequence.push_back(hub_path_back);
+
+    std::vector<Response> reused(sequence.size());
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      engine.execute(sequence[i], reused[i]);
+    }
+    bool saw_cut_suggest = false;
+    bool saw_cut_path = false;
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      Response fresh;
+      std::thread([&] { engine.execute(sequence[i], fresh); }).join();
+      EXPECT_EQ(reused[i].status, fresh.status) << "request " << i;
+      EXPECT_EQ(reused[i].flags, fresh.flags) << "request " << i;
+      EXPECT_EQ(reused[i].cost, fresh.cost) << "request " << i;
+      ASSERT_EQ(reused[i].payload, fresh.payload) << "request " << i;
+      if (fresh.status == ServeStatus::kDeadlineExceeded) {
+        if (sequence[i].type == RequestType::kSuggest) {
+          saw_cut_suggest |= decode(fresh).scanned > 0;
+        } else {
+          saw_cut_path |= get_u64(fresh.payload, 4) > 2;
+        }
+      }
+    }
+    EXPECT_TRUE(saw_cut_suggest) << "no suggest stopped mid-scan";
+    EXPECT_TRUE(saw_cut_path) << "no path stopped mid-BFS";
+  }
 }
 
 }  // namespace
