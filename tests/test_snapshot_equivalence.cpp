@@ -102,6 +102,83 @@ TEST_F(SnapshotEquivalence, V3EmissionIsThreadCountInvariant) {
             0);
 }
 
+// Absolute byte pins: the FNV-1a-64 of every file the writers emit for
+// the fixture dataset. The relative suites above prove the builders agree
+// with each other; these prove none of them drifted. A deliberate format
+// change re-records them in the same commit and says why.
+std::uint64_t fnv1a64(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::byte b : bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+class SnapshotBytes : public SnapshotEquivalence {};
+
+TEST_F(SnapshotBytes, PinnedDigests) {
+  const auto built = [](std::uint32_t version, bool country_index) {
+    SnapshotOptions options;
+    options.version = version;
+    options.country_index = country_index;
+    return fnv1a64(build_snapshot(dataset(), options).bytes());
+  };
+  EXPECT_EQ(built(kSnapshotVersion2, true), 0x5e15825df37c850eULL) << "v2";
+  EXPECT_EQ(built(kSnapshotVersion2, false), 0x1ac2e9a5c207208fULL)
+      << "v2 lean";
+  EXPECT_EQ(built(kSnapshotVersion3, true), 0x7be4a2e0cfcc099fULL) << "v3";
+  EXPECT_EQ(built(kSnapshotVersion3, false), 0x7a1035915d2f40ffULL)
+      << "v3 lean";
+
+  const auto path = scratch("gplus_pinned");
+  build_out_of_core(path);
+  EXPECT_EQ(fnv1a64(load_snapshot(path).bytes()), 0x7be4a2e0cfcc099fULL)
+      << "out-of-core";
+  std::filesystem::remove(path);
+
+  // Every shard, from both source formats: the split reads rows through
+  // the format-agnostic scans, so a v2 and a v3 source give equal shards.
+  struct Split {
+    ShardingPolicy policy;
+    std::size_t shard_count;
+    std::vector<std::uint64_t> want;
+  };
+  const Split splits[] = {
+      {ShardingPolicy::kRankStripe,
+       4,
+       {0xacff641c4f2c078bULL,
+        0x4fab767d94ea8079ULL,
+        0x46ded11de1582cc3ULL,
+        0xaea11bf20e1ae2e4ULL}},
+      {ShardingPolicy::kRankRange,
+       3,
+       {0x34174f2f1f7f6e17ULL,
+        0x848122c65e2eae1cULL,
+        0x39a6981c10efe337ULL}},
+  };
+  const SnapshotView flat(v2().bytes());
+  const SnapshotView compressed(v3().bytes());
+  for (const Split& split : splits) {
+    const ShardingOptions options{.shard_count = split.shard_count,
+                                  .policy = split.policy};
+    const ShardedSnapshot from_v2 = split_snapshot(flat, options);
+    const ShardedSnapshot from_v3 = split_snapshot(compressed, options);
+    const auto name = sharding_policy_name(split.policy);
+    ASSERT_EQ(from_v2.routing.owner, from_v3.routing.owner) << name;
+    ASSERT_EQ(from_v2.shards.size(), split.want.size()) << name;
+    ASSERT_EQ(from_v3.shards.size(), split.want.size()) << name;
+    for (std::size_t s = 0; s < split.want.size(); ++s) {
+      const auto a = from_v2.shards[s].bytes();
+      const auto b = from_v3.shards[s].bytes();
+      ASSERT_EQ(a.size(), b.size()) << name << " shard " << s;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0)
+          << name << " shard " << s << ": v2 and v3 sources diverged";
+      EXPECT_EQ(fnv1a64(a), split.want[s]) << name << " shard " << s;
+    }
+  }
+}
+
 // Exercises every request family over one engine, folding each response
 // into a caller-visible trace for comparison.
 std::vector<Response> run_families(const SnapshotView& view) {
