@@ -289,8 +289,8 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
                     "snapshot file to inspect instead of building");
   parser.add_flag("no-country-index", "omit the located-users-by-country index");
   parser.add_option("format-version", "2",
-                    "snapshot format to emit: 3 (compressed adjacency), 2 "
-                    "(section digests) or 1 (legacy GPSNAP01)");
+                    "snapshot format to emit: 2 (flat adjacency) or 3 "
+                    "(compressed adjacency)");
   add_threads_option(parser);
   if (!parse_or_usage(parser, args, out)) return 2;
   apply_threads_option(parser);
@@ -320,8 +320,6 @@ int cmd_snapshot(const std::vector<std::string>& args, std::ostream& out) {
     table.add_row({"File", parser.get("inspect")});
     table.add_row({"Bytes", core::fmt_count(view.bytes().size())});
     table.add_row({"Version", std::to_string(view.version())});
-    table.add_row({"Section digests",
-                   view.has_section_digests() ? "yes" : "no"});
     table.add_row({"Compressed adjacency",
                    view.adjacency_compressed() ? "yes" : "no"});
     table.add_row({"Nodes", core::fmt_count(view.node_count())});

@@ -1,9 +1,7 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -11,6 +9,7 @@
 #include "core/parallel.h"
 #include "geo/countries.h"
 #include "serve/snapshot_format.h"
+#include "serve/snapshot_writer.h"
 
 namespace gplus::serve {
 
@@ -23,212 +22,47 @@ using detail::kChecksumOffset;
 using detail::kHeaderBytes;
 using detail::load_u32;
 using detail::load_u64;
-using detail::magic_for;
 using detail::pad8;
-using detail::store_u32;
-using detail::store_u64;
 using detail::version_from_magic;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("snapshot: " + what);
 }
 
-/// One encoded adjacency stream plus its two-level row index, built in
-/// rank order.
-struct EncodedAdjacency {
-  std::vector<std::uint8_t> data;
-  std::vector<std::uint64_t> base;  // group bases, n/64 + 1 entries
-  std::vector<std::uint32_t> rel;   // per-row offsets, n + 1 entries
-};
-
-/// Encodes every node's list in degree-rank order. `neighbors_of` maps an
-/// original node id to its ascending flat list. Serial and therefore
-/// deterministic at any thread count — and identical, row for row, to
-/// what the out-of-core builder streams from its merged runs.
-template <typename NeighborsOf>
-EncodedAdjacency encode_rank_ordered(std::size_t n,
-                                     const std::vector<std::uint32_t>& inv,
-                                     NeighborsOf&& neighbors_of) {
-  EncodedAdjacency enc;
-  enc.base.reserve(adjacency_group_count(n));
-  enc.rel.reserve(n + 1);
-  for (std::uint32_t r = 0; r < n; ++r) {
-    if (r % kSnapshotRowGroup == 0) enc.base.push_back(enc.data.size());
-    const std::uint64_t rel = enc.data.size() - enc.base.back();
-    if (rel > 0xFFFFFFFFULL) fail("compressed row group exceeds 4 GiB");
-    enc.rel.push_back(static_cast<std::uint32_t>(rel));
-    encode_adjacency_list(neighbors_of(inv[r]), enc.data);
+/// Validates magic, version and header checksum — everything a reader
+/// may trust before it sizes anything from the header. Returns the
+/// version.
+std::uint32_t check_header(const std::byte* header) {
+  const std::uint32_t magic_version = version_from_magic(header);
+  if (magic_version == 0) fail("bad magic (not a gplus snapshot)");
+  const std::uint32_t version = load_u32(header + 8);
+  if (version != kSnapshotVersion2 && version != kSnapshotVersion3) {
+    fail("unsupported version " + std::to_string(version) +
+         " (reader knows 2 and 3)");
   }
-  while (enc.base.size() < adjacency_group_count(n)) {
-    enc.base.push_back(enc.data.size());
+  if (version != magic_version) {
+    fail("magic/version mismatch (magic says " +
+         std::to_string(magic_version) + ", header says " +
+         std::to_string(version) + ")");
   }
-  const std::uint64_t sentinel =
-      enc.data.size() - enc.base[n / kSnapshotRowGroup];
-  if (sentinel > 0xFFFFFFFFULL) fail("compressed row group exceeds 4 GiB");
-  enc.rel.push_back(static_cast<std::uint32_t>(sentinel));
-  return enc;
+  if (load_u64(header + kChecksumOffset) != fnv1a64(header, kChecksumOffset)) {
+    fail("corrupt header (checksum mismatch)");
+  }
+  return version;
 }
 
-/// Writes one compressed adjacency section at `at` (sub-header, base, rel,
-/// stream; padding bytes are already zero in the buffer).
-void write_adjacency_section(std::byte* at, const EncodedAdjacency& enc,
-                             std::size_t n) {
-  store_u64(at, enc.data.size());
-  store_u64(at + 8, 0);
-  std::byte* cursor = at + 16;
-  std::memcpy(cursor, enc.base.data(), enc.base.size() * 8);
-  cursor += enc.base.size() * 8;
-  std::memcpy(cursor, enc.rel.data(), enc.rel.size() * 4);
-  cursor += pad8((n + 1) * 4);
-  if (!enc.data.empty()) std::memcpy(cursor, enc.data.data(), enc.data.size());
-}
-
-/// v3 build path: compressed rank-ordered adjacency, stored permutation,
-/// per-node reciprocal counts.
-SnapshotBuffer build_snapshot_v3(const core::Dataset& dataset,
-                                 const SnapshotOptions& options) {
-  const graph::DiGraph& g = dataset.graph();
-  const std::size_t n = g.node_count();
-  const std::size_t m = g.edge_count();
-  if (dataset.profiles.size() != n) fail("profile count != node count");
-
-  // Degree-rank permutation: total degree descending, id ascending on
-  // ties — hubs land in the file's first pages. Values inside each list
-  // stay original ids, so decoded answers match v2 byte for byte.
-  std::vector<std::uint32_t> inv(n);
-  for (std::uint32_t u = 0; u < n; ++u) inv[u] = u;
-  std::sort(inv.begin(), inv.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const std::uint64_t da = g.out_degree(a) + g.in_degree(a);
-              const std::uint64_t db = g.out_degree(b) + g.in_degree(b);
-              if (da != db) return da > db;
-              return a < b;
-            });
-  std::vector<std::uint32_t> perm(n);
-  for (std::uint32_t r = 0; r < n; ++r) perm[inv[r]] = r;
-
-  const EncodedAdjacency out_enc = encode_rank_ordered(
-      n, inv, [&](graph::NodeId u) { return g.out_neighbors(u); });
-  const EncodedAdjacency in_enc = encode_rank_ordered(
-      n, inv, [&](graph::NodeId u) { return g.in_neighbors(u); });
-
-  // Per-node reciprocal out-degree (the v2 bitmap's one aggregate query,
-  // precomputed). Disjoint per-node writes: deterministic in parallel.
-  std::vector<std::uint32_t> recip(n, 0);
-  core::parallel_for(n, 1024, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      std::uint32_t count = 0;
-      for (const graph::NodeId v : g.out_neighbors(id)) {
-        if (g.has_edge(v, id)) ++count;
-      }
-      recip[u] = count;
-    }
-  });
-
-  const std::size_t countries = options.country_index ? geo::country_count() : 0;
-  std::vector<std::vector<graph::NodeId>> by_country;
-  std::size_t located_total = 0;
-  if (options.country_index) {
-    by_country.resize(countries);
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const auto& p = dataset.profiles[u];
-      if (p.is_located() && p.country < countries) {
-        by_country[p.country].push_back(u);
-        ++located_total;
-      }
-    }
+/// Resolves one section from its header slot: 8-byte aligned, past the
+/// header, and wholly below `body_end` (the digest table). Overflow-safe
+/// for any stored offset.
+const std::byte* section_at(const std::byte* base, std::size_t header_at,
+                            std::uint64_t length, std::uint64_t body_end,
+                            const char* name) {
+  const std::uint64_t off = load_u64(base + header_at);
+  if (off % 8 != 0) fail(std::string(name) + " section misaligned");
+  if (off < kHeaderBytes || off > body_end || length > body_end - off) {
+    fail(std::string(name) + " section out of bounds");
   }
-
-  // Layout.
-  std::size_t at = kHeaderBytes;
-  const std::size_t off_out_adj = at;
-  at += adjacency_section_bytes(n, out_enc.data.size());
-  const std::size_t off_in_adj = at;
-  at += adjacency_section_bytes(n, in_enc.data.size());
-  const std::size_t off_perm = at;
-  at += pad8(n * 4);
-  const std::size_t off_inv = at;
-  at += pad8(n * 4);
-  const std::size_t off_recip = at;
-  at += pad8(n * 4);
-  const std::size_t off_profiles = at;
-  at += pad8(n * sizeof(PackedProfile));
-  std::size_t off_country_offsets = 0;
-  std::size_t off_country_nodes = 0;
-  if (options.country_index) {
-    off_country_offsets = at;
-    at += (countries + 1) * 8;
-    off_country_nodes = at;
-    at += pad8(located_total * 4);
-  }
-  const std::size_t off_digests = at;
-  at += kSnapshotDigestBytes;
-  const std::size_t total = at;
-
-  SnapshotBuffer buffer(std::vector<std::uint64_t>((total + 7) / 8, 0), total);
-  std::byte* base = buffer.data();
-
-  std::memcpy(base, magic_for(kSnapshotVersion3), 8);
-  store_u32(base + 8, kSnapshotVersion3);
-  store_u32(base + 12, options.country_index ? kSnapshotFlagCountryIndex : 0);
-  store_u64(base + 16, n);
-  store_u64(base + 24, m);
-  store_u64(base + 32, off_out_adj);
-  store_u64(base + 40, off_in_adj);
-  store_u64(base + 48, off_perm);
-  store_u64(base + 56, off_inv);
-  store_u64(base + 64, off_recip);
-  store_u64(base + 72, off_profiles);
-  store_u64(base + 80, off_country_offsets);
-  store_u64(base + 88, off_country_nodes);
-  store_u64(base + 96, total);
-  store_u64(base + kChecksumOffset, fnv1a64(base, kChecksumOffset));
-
-  write_adjacency_section(base + off_out_adj, out_enc, n);
-  write_adjacency_section(base + off_in_adj, in_enc, n);
-  std::memcpy(base + off_perm, perm.data(), n * 4);
-  std::memcpy(base + off_inv, inv.data(), n * 4);
-  std::memcpy(base + off_recip, recip.data(), n * 4);
-
-  auto* profiles = reinterpret_cast<PackedProfile*>(base + off_profiles);
-  core::parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      profiles[u] = pack_profile(dataset.profiles[u]);
-    }
-  });
-
-  if (options.country_index) {
-    auto* coffsets = reinterpret_cast<std::uint64_t*>(base + off_country_offsets);
-    auto* cnodes = reinterpret_cast<graph::NodeId*>(base + off_country_nodes);
-    std::size_t written = 0;
-    for (std::size_t c = 0; c < countries; ++c) {
-      coffsets[c] = written;
-      std::copy(by_country[c].begin(), by_country[c].end(), cnodes + written);
-      written += by_country[c].size();
-    }
-    coffsets[countries] = written;
-  }
-
-  const std::pair<std::size_t, std::size_t> sections[kSnapshotSectionCount] = {
-      {off_out_adj, adjacency_section_bytes(n, out_enc.data.size())},
-      {off_in_adj, adjacency_section_bytes(n, in_enc.data.size())},
-      {off_perm, pad8(n * 4)},
-      {off_inv, pad8(n * 4)},
-      {off_recip, pad8(n * 4)},
-      {off_profiles, pad8(n * sizeof(PackedProfile))},
-      {off_country_offsets, options.country_index ? (countries + 1) * 8 : 0},
-      {off_country_nodes,
-       options.country_index ? pad8(located_total * 4) : 0},
-  };
-  auto* digests = base + off_digests;
-  for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-    const auto [off, len] = sections[s];
-    store_u64(digests + s * 8, off == 0 ? 0 : fnv1a64(base + off, len));
-  }
-  store_u64(digests + kSnapshotSectionCount * 8,
-            fnv1a64(digests, kSnapshotSectionCount * 8));
-  return buffer;
+  return base + off;
 }
 
 }  // namespace
@@ -248,176 +82,51 @@ PackedProfile pack_profile(const synth::Profile& p) {
 
 SnapshotBuffer build_snapshot(const core::Dataset& dataset,
                               const SnapshotOptions& options) {
-  if (options.version == kSnapshotVersion3) {
-    return build_snapshot_v3(dataset, options);
-  }
   const graph::DiGraph& g = dataset.graph();
   const std::size_t n = g.node_count();
-  const std::size_t m = g.edge_count();
   if (dataset.profiles.size() != n) fail("profile count != node count");
-  if (options.version != kSnapshotVersion1 &&
-      options.version != kSnapshotVersion2) {
+  if (options.version != kSnapshotVersion2 &&
+      options.version != kSnapshotVersion3) {
     fail("unknown build version " + std::to_string(options.version));
   }
-
-  const std::size_t countries = options.country_index ? geo::country_count() : 0;
-
-  // Section offsets (header first, every section 8-byte aligned).
-  std::size_t at = kHeaderBytes;
-  const std::size_t off_out_offsets = at;
-  at += (n + 1) * 8;
-  const std::size_t off_out_targets = at;
-  at += pad8(m * 4);
-  const std::size_t off_in_offsets = at;
-  at += (n + 1) * 8;
-  const std::size_t off_in_targets = at;
-  at += pad8(m * 4);
-  const std::size_t off_recip = at;
-  const std::size_t recip_words = (m + 63) / 64;
-  at += recip_words * 8;
-  const std::size_t off_profiles = at;
-  at += pad8(n * sizeof(PackedProfile));
-  std::size_t off_country_offsets = 0;
-  std::size_t off_country_nodes = 0;
-  std::vector<std::vector<graph::NodeId>> by_country;
-  std::size_t located_total = 0;
-  if (options.country_index) {
-    by_country.resize(countries);
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const auto& p = dataset.profiles[u];
-      if (p.is_located() && p.country < countries) {
-        by_country[p.country].push_back(u);
-        ++located_total;
-      }
-    }
-    off_country_offsets = at;
-    at += (countries + 1) * 8;
-    off_country_nodes = at;
-    at += pad8(located_total * 4);
-  }
-  // v2 appends the per-section digest table as the file's final bytes.
-  const std::size_t off_digests = at;
-  if (options.version >= kSnapshotVersion2) at += kSnapshotDigestBytes;
-  const std::size_t total = at;
-
-  SnapshotBuffer buffer(std::vector<std::uint64_t>((total + 7) / 8, 0), total);
-  std::byte* base = buffer.data();
-
-  // Header.
-  std::memcpy(base, magic_for(options.version), 8);
-  store_u32(base + 8, options.version);
-  store_u32(base + 12, options.country_index ? kSnapshotFlagCountryIndex : 0);
-  store_u64(base + 16, n);
-  store_u64(base + 24, m);
-  store_u64(base + 32, off_out_offsets);
-  store_u64(base + 40, off_out_targets);
-  store_u64(base + 48, off_in_offsets);
-  store_u64(base + 56, off_in_targets);
-  store_u64(base + 64, off_recip);
-  store_u64(base + 72, off_profiles);
-  store_u64(base + 80, off_country_offsets);
-  store_u64(base + 88, off_country_nodes);
-  store_u64(base + 96, total);
-  store_u64(base + kChecksumOffset, fnv1a64(base, kChecksumOffset));
-
-  // Adjacency in CSR form, copied from the DiGraph spans. Offsets are
-  // prefix sums (serial); targets copy in parallel, disjoint per node.
-  auto* out_offsets = reinterpret_cast<std::uint64_t*>(base + off_out_offsets);
-  auto* in_offsets = reinterpret_cast<std::uint64_t*>(base + off_in_offsets);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    out_offsets[u + 1] = out_offsets[u] + g.out_degree(u);
-    in_offsets[u + 1] = in_offsets[u] + g.in_degree(u);
-  }
-  auto* out_targets = reinterpret_cast<graph::NodeId*>(base + off_out_targets);
-  auto* in_targets = reinterpret_cast<graph::NodeId*>(base + off_in_targets);
-  auto* profiles = reinterpret_cast<PackedProfile*>(base + off_profiles);
+  std::vector<PackedProfile> profiles(n);
+  std::vector<std::uint32_t> out_degree(n);
+  std::vector<std::uint32_t> in_degree(n);
   core::parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
     for (std::size_t u = begin; u < end; ++u) {
       const auto id = static_cast<graph::NodeId>(u);
-      const auto out = g.out_neighbors(id);
-      std::copy(out.begin(), out.end(), out_targets + out_offsets[u]);
-      const auto in = g.in_neighbors(id);
-      std::copy(in.begin(), in.end(), in_targets + in_offsets[u]);
       profiles[u] = pack_profile(dataset.profiles[u]);
+      out_degree[u] = static_cast<std::uint32_t>(g.out_degree(id));
+      in_degree[u] = static_cast<std::uint32_t>(g.in_degree(id));
     }
   });
 
-  // Reciprocal bitmap: a parallel per-edge byte pass (disjoint writes),
-  // then a serial bit-packing sweep — deterministic at any thread count.
-  std::vector<std::uint8_t> recip_bytes(m, 0);
-  core::parallel_for(n, 1024, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      const auto out = g.out_neighbors(id);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        if (g.has_edge(out[i], id)) recip_bytes[out_offsets[u] + i] = 1;
+  // The DiGraph's spans are already ascending: they feed the writer as
+  // rows directly, in parallel for v2 and in rank order for v3.
+  if (options.version == kSnapshotVersion2) {
+    detail::FlatWriter writer(out_degree, in_degree, profiles,
+                              options.country_index);
+    core::parallel_for(n, 1024, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t u = begin; u < end; ++u) {
+        const auto id = static_cast<graph::NodeId>(u);
+        writer.put_row(id, g.out_neighbors(id), g.in_neighbors(id));
       }
-    }
-  });
-  auto* recip = reinterpret_cast<std::uint64_t*>(base + off_recip);
-  for (std::size_t e = 0; e < m; ++e) {
-    if (recip_bytes[e]) recip[e >> 6] |= std::uint64_t{1} << (e & 63);
+    });
+    return writer.finish();
   }
-
-  if (options.country_index) {
-    auto* coffsets = reinterpret_cast<std::uint64_t*>(base + off_country_offsets);
-    auto* cnodes = reinterpret_cast<graph::NodeId*>(base + off_country_nodes);
-    std::size_t written = 0;
-    for (std::size_t c = 0; c < countries; ++c) {
-      coffsets[c] = written;
-      std::copy(by_country[c].begin(), by_country[c].end(), cnodes + written);
-      written += by_country[c].size();
-    }
-    coffsets[countries] = written;
+  detail::CompressedWriter writer(
+      detail::degree_rank_order(out_degree, in_degree), profiles,
+      options.country_index);
+  for (const graph::NodeId u : writer.rank_order()) {
+    writer.put_row(u, g.out_neighbors(u), g.in_neighbors(u));
   }
-
-  // v2 digest table, computed once every section body is final: eight
-  // FNV-1a section digests in header order (0 for absent sections), then
-  // an FNV-1a checksum sealing the eight digests themselves.
-  if (options.version >= kSnapshotVersion2) {
-    const std::size_t located_bytes = pad8(located_total * 4);
-    const std::pair<std::size_t, std::size_t> sections[kSnapshotSectionCount] = {
-        {off_out_offsets, (n + 1) * 8},
-        {off_out_targets, pad8(m * 4)},
-        {off_in_offsets, (n + 1) * 8},
-        {off_in_targets, pad8(m * 4)},
-        {off_recip, recip_words * 8},
-        {off_profiles, pad8(n * sizeof(PackedProfile))},
-        {off_country_offsets,
-         options.country_index ? (countries + 1) * 8 : 0},
-        {off_country_nodes, options.country_index ? located_bytes : 0},
-    };
-    auto* digests = base + off_digests;
-    for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-      const auto [off, len] = sections[s];
-      store_u64(digests + s * 8, off == 0 ? 0 : fnv1a64(base + off, len));
-    }
-    store_u64(digests + kSnapshotSectionCount * 8,
-              fnv1a64(digests, kSnapshotSectionCount * 8));
-  }
-  return buffer;
+  return writer.finish();
 }
 
 SnapshotView::SnapshotView(std::span<const std::byte> bytes) : bytes_(bytes) {
   if (bytes.size() < kHeaderBytes) fail("truncated header");
   const std::byte* base = bytes.data();
-  const std::uint32_t magic_version = version_from_magic(base);
-  if (magic_version == 0) fail("bad magic (not a gplus snapshot)");
-  const std::uint32_t version = load_u32(base + 8);
-  if (version != kSnapshotVersion1 && version != kSnapshotVersion2 &&
-      version != kSnapshotVersion3) {
-    fail("unsupported version " + std::to_string(version) +
-         " (reader knows 1, 2 and 3)");
-  }
-  if (version != magic_version) {
-    fail("magic/version mismatch (magic says " +
-         std::to_string(magic_version) + ", header says " +
-         std::to_string(version) + ")");
-  }
-  version_ = version;
-  if (load_u64(base + kChecksumOffset) != fnv1a64(base, kChecksumOffset)) {
-    fail("corrupt header (checksum mismatch)");
-  }
+  version_ = check_header(base);
   const std::uint32_t flags = load_u32(base + 12);
   nodes_ = load_u64(base + 16);
   edges_ = load_u64(base + 24);
@@ -429,23 +138,25 @@ SnapshotView::SnapshotView(std::span<const std::byte> bytes) : bytes_(bytes) {
   if (reinterpret_cast<std::uintptr_t>(base) % 8 != 0) {
     fail("buffer not 8-byte aligned");
   }
-  // v2+: the digest table occupies the final 72 bytes; data sections must
-  // stay below it. Its self-checksum is verified here (72 bytes, still
-  // O(1)); the per-section digests are verified by verify_sections().
-  std::uint64_t body_end = total;
-  if (version_ >= kSnapshotVersion2) {
-    if (total < kHeaderBytes + kSnapshotDigestBytes) {
-      fail("truncated digest table");
-    }
-    body_end = total - kSnapshotDigestBytes;
-    digests_ = reinterpret_cast<const std::uint64_t*>(base + body_end);
-    if (digests_[kSnapshotSectionCount] !=
-        fnv1a64(base + body_end, kSnapshotSectionCount * 8)) {
-      fail("corrupt digest table (self-checksum mismatch)");
-    }
+  // The digest table occupies the final 72 bytes; data sections must stay
+  // below it. Its self-checksum is verified here (72 bytes, still O(1));
+  // the per-section digests are verified by verify_sections().
+  if (total < kHeaderBytes + kSnapshotDigestBytes) {
+    fail("truncated digest table");
   }
+  const std::uint64_t body_end = total - kSnapshotDigestBytes;
+  digests_ = reinterpret_cast<const std::uint64_t*>(base + body_end);
+  if (digests_[kSnapshotSectionCount] !=
+      fnv1a64(base + body_end, kSnapshotSectionCount * 8)) {
+    fail("corrupt digest table (self-checksum mismatch)");
+  }
+  // Guard the layout arithmetic before using nodes_ in any length
+  // computation: every format stores at least 4 bytes per node, so a
+  // node count the buffer cannot possibly hold is rejected up front (this
+  // also keeps every u64 length expression below from overflowing).
+  if (nodes_ >= body_end / 4) fail("node count impossible for buffer size");
 
-  if (version_ >= kSnapshotVersion3) {
+  if (version_ == kSnapshotVersion3) {
     open_compressed_sections(base, flags, body_end);
   } else {
     open_flat_sections(base, flags, body_end);
@@ -455,77 +166,40 @@ SnapshotView::SnapshotView(std::span<const std::byte> bytes) : bytes_(bytes) {
 void SnapshotView::open_flat_sections(const std::byte* base,
                                       std::uint32_t flags,
                                       std::uint64_t body_end) {
-  // Every section must be aligned and lie inside the buffer (below the
-  // digest table on v2).
-  auto section = [&](std::size_t header_at, std::size_t length,
-                     const char* name) -> const std::byte* {
-    const std::uint64_t off = load_u64(base + header_at);
-    if (off % 8 != 0) fail(std::string(name) + " section misaligned");
-    if (off < kHeaderBytes || off + length > body_end) {
-      fail(std::string(name) + " section out of bounds");
-    }
-    return base + off;
-  };
-  out_offsets_ = reinterpret_cast<const std::uint64_t*>(
-      section(32, (nodes_ + 1) * 8, "out_offsets"));
+  if (edges_ > body_end / 4) fail("edge count impossible for buffer size");
+  out_offsets_ = reinterpret_cast<const std::uint64_t*>(section_at(
+      base, 32, (nodes_ + 1) * 8, body_end, "out_offsets"));
   out_targets_ = reinterpret_cast<const graph::NodeId*>(
-      section(40, pad8(edges_ * 4), "out_targets"));
+      section_at(base, 40, pad8(edges_ * 4), body_end, "out_targets"));
   in_offsets_ = reinterpret_cast<const std::uint64_t*>(
-      section(48, (nodes_ + 1) * 8, "in_offsets"));
+      section_at(base, 48, (nodes_ + 1) * 8, body_end, "in_offsets"));
   in_targets_ = reinterpret_cast<const graph::NodeId*>(
-      section(56, pad8(edges_ * 4), "in_targets"));
+      section_at(base, 56, pad8(edges_ * 4), body_end, "in_targets"));
   recip_ = reinterpret_cast<const std::uint64_t*>(
-      section(64, (edges_ + 63) / 64 * 8, "recip"));
-  profiles_ = reinterpret_cast<const PackedProfile*>(
-      section(72, pad8(nodes_ * sizeof(PackedProfile)), "profiles"));
+      section_at(base, 64, (edges_ + 63) / 64 * 8, body_end, "recip"));
   if (out_offsets_[0] != 0 || out_offsets_[nodes_] != edges_) {
     fail("out_offsets inconsistent with edge count");
   }
   if (in_offsets_[0] != 0 || in_offsets_[nodes_] != edges_) {
     fail("in_offsets inconsistent with edge count");
   }
-  if (flags & kSnapshotFlagCountryIndex) {
-    country_count_ = geo::country_count();
-    country_offsets_ = reinterpret_cast<const std::uint64_t*>(
-        section(80, (country_count_ + 1) * 8, "country_offsets"));
-    const std::uint64_t located = country_offsets_[country_count_];
-    country_nodes_ = reinterpret_cast<const graph::NodeId*>(
-        section(88, pad8(located * 4), "country_nodes"));
-  }
+  open_node_sections(base, flags, body_end);
 }
 
 void SnapshotView::open_compressed_sections(const std::byte* base,
                                             std::uint32_t flags,
                                             std::uint64_t body_end) {
-  // Guard the layout arithmetic before using nodes_ in any length
-  // computation: the perm section alone needs 4n bytes, so a node count
-  // the buffer cannot possibly hold is rejected up front (this also
-  // keeps every u64 length expression below from overflowing).
-  if (nodes_ >= body_end / 4) fail("node count impossible for buffer size");
-
-  auto section = [&](std::size_t header_at, std::uint64_t length,
-                     const char* name) -> const std::byte* {
-    const std::uint64_t off = load_u64(base + header_at);
-    if (off % 8 != 0) fail(std::string(name) + " section misaligned");
-    if (off < kHeaderBytes || off + length > body_end) {
-      fail(std::string(name) + " section out of bounds");
-    }
-    return base + off;
-  };
-
   // Compressed adjacency sections: bounds-check the 16-byte sub-header
   // first, read the stream length, then bounds-check the full extent.
   auto adjacency = [&](std::size_t header_at,
                        const char* name) -> CompressedAdjacency {
-    const std::byte* at = section(header_at, 16, name);
+    const std::byte* at = section_at(base, header_at, 16, body_end, name);
     const std::uint64_t data_bytes = load_u64(at);
     if (data_bytes > body_end) {
       fail(std::string(name) + " stream length impossible");
     }
-    const std::uint64_t off = load_u64(base + header_at);
-    if (off + adjacency_section_bytes(nodes_, data_bytes) > body_end) {
-      fail(std::string(name) + " section out of bounds");
-    }
+    section_at(base, header_at, adjacency_section_bytes(nodes_, data_bytes),
+               body_end, name);
     CompressedAdjacency adj;
     adj.data_bytes = data_bytes;
     adj.base = reinterpret_cast<const std::uint64_t*>(at + 16);
@@ -547,30 +221,36 @@ void SnapshotView::open_compressed_sections(const std::byte* base,
   out_adj_ = adjacency(32, "out_adj");
   in_adj_ = adjacency(40, "in_adj");
   perm_ = reinterpret_cast<const std::uint32_t*>(
-      section(48, pad8(nodes_ * 4), "perm"));
+      section_at(base, 48, pad8(nodes_ * 4), body_end, "perm"));
   inv_ = reinterpret_cast<const std::uint32_t*>(
-      section(56, pad8(nodes_ * 4), "inv"));
+      section_at(base, 56, pad8(nodes_ * 4), body_end, "inv"));
   recip_counts_ = reinterpret_cast<const std::uint32_t*>(
-      section(64, pad8(nodes_ * 4), "recip_counts"));
-  profiles_ = reinterpret_cast<const PackedProfile*>(
-      section(72, pad8(nodes_ * sizeof(PackedProfile)), "profiles"));
+      section_at(base, 64, pad8(nodes_ * 4), body_end, "recip_counts"));
   // O(1) permutation sanity (full validation is the digest table's job).
   if (nodes_ > 0 && (perm_[0] >= nodes_ || inv_[perm_[0]] != 0)) {
     fail("perm/inv permutation corrupt");
   }
+  open_node_sections(base, flags, body_end);
+}
+
+void SnapshotView::open_node_sections(const std::byte* base,
+                                      std::uint32_t flags,
+                                      std::uint64_t body_end) {
+  profiles_ = reinterpret_cast<const PackedProfile*>(section_at(
+      base, 72, pad8(nodes_ * sizeof(PackedProfile)), body_end, "profiles"));
   if (flags & kSnapshotFlagCountryIndex) {
     country_count_ = geo::country_count();
     country_offsets_ = reinterpret_cast<const std::uint64_t*>(
-        section(80, (country_count_ + 1) * 8, "country_offsets"));
+        section_at(base, 80, (country_count_ + 1) * 8, body_end,
+                   "country_offsets"));
     const std::uint64_t located = country_offsets_[country_count_];
     if (located > body_end / 4) fail("country index impossible for buffer");
-    country_nodes_ = reinterpret_cast<const graph::NodeId*>(
-        section(88, pad8(located * 4), "country_nodes"));
+    country_nodes_ = reinterpret_cast<const graph::NodeId*>(section_at(
+        base, 88, pad8(located * 4), body_end, "country_nodes"));
   }
 }
 
 void SnapshotView::verify_sections() const {
-  if (digests_ == nullptr) return;  // v1: nothing beyond the header to check
   struct SectionRef {
     const char* name;
     const std::byte* at;  // nullptr when the section is absent
@@ -684,23 +364,34 @@ bool sniff_snapshot_magic(std::istream& in) {
 SnapshotBuffer read_snapshot(std::istream& in) {
   // Value-initialized so a short read can never leave uninitialized bytes
   // behind; the stream state is checked before the header is trusted.
-  std::array<char, kHeaderBytes> header{};
-  in.read(header.data(), kHeaderBytes);
+  std::vector<std::uint64_t> words(kHeaderBytes / 8, 0);
+  auto* bytes = reinterpret_cast<char*>(words.data());
+  in.read(bytes, kHeaderBytes);
   if (!in) {
     fail("truncated header (shorter than the " +
          std::to_string(kHeaderBytes) + "-byte snapshot header)");
   }
-  if (version_from_magic(header.data()) == 0) {
-    fail("bad magic (not a gplus snapshot)");
-  }
+  check_header(reinterpret_cast<const std::byte*>(bytes));
   const std::uint64_t total =
-      load_u64(reinterpret_cast<const std::byte*>(header.data()) + 96);
-  if (total < kHeaderBytes) fail("corrupt header (impossible size)");
-  SnapshotBuffer buffer(std::vector<std::uint64_t>((total + 7) / 8, 0), total);
-  std::memcpy(buffer.data(), header.data(), kHeaderBytes);
-  in.read(reinterpret_cast<char*>(buffer.data()) + kHeaderBytes,
-          static_cast<std::streamsize>(total - kHeaderBytes));
-  if (!in) fail("truncated stream");
+      load_u64(reinterpret_cast<const std::byte*>(bytes) + 96);
+  if (total < kHeaderBytes + kSnapshotDigestBytes) {
+    fail("corrupt header (impossible size)");
+  }
+  // The body arrives in pieces that grow with what was actually read, so
+  // a stream shorter than its header claims fails as truncated without
+  // ever allocating the claimed size.
+  std::uint64_t have = kHeaderBytes;
+  while (have < total) {
+    const std::uint64_t next =
+        std::min(total, std::max<std::uint64_t>(2 * have, 1 << 20));
+    words.reserve((next + 7) / 8);
+    words.resize((next + 7) / 8, 0);
+    bytes = reinterpret_cast<char*>(words.data());
+    in.read(bytes + have, static_cast<std::streamsize>(next - have));
+    if (!in) fail("truncated stream");
+    have = next;
+  }
+  SnapshotBuffer buffer(std::move(words), total);
   SnapshotView view(buffer.bytes());  // full header/section validation
   (void)view;
   return buffer;

@@ -14,8 +14,8 @@
 // Layout (all integers little-endian; every section 8-byte aligned):
 //
 //   offset  size  field
-//        0     8  magic "GPSNAP01" / "GPSNAP02" / "GPSNAP03"
-//        8     4  version (1, 2 or 3; must agree with the magic digits)
+//        0     8  magic "GPSNAP02" / "GPSNAP03"
+//        8     4  version (2 or 3; must agree with the magic digits)
 //       12     4  flags (bit 0: country index present)
 //       16     8  node_count n
 //       24     8  edge_count m
@@ -30,7 +30,7 @@
 //       96     8  total_bytes (must equal the buffer size)
 //      104     8  header checksum (FNV-1a over bytes [0, 104))
 //
-// Versions 1 and 2 store flat CSR adjacency:
+// Version 2 stores flat CSR adjacency:
 //
 //   A: out_offsets ((n+1) × u64)      B: out_targets (m × u32, padded)
 //   C: in_offsets  ((n+1) × u64)      D: in_targets  (m × u32, padded)
@@ -68,17 +68,22 @@
 // keeps the per-node overhead at ~4.1 bytes while capping any 64-row
 // group at 4 GiB of stream (enforced at build).
 //
-// Version 2 introduced (and 3 keeps) one trailing table occupying the
-// file's final 72 bytes: eight u64 FNV-1a digests, one per data section in
-// header order (0 for an absent section), followed by a u64 FNV-1a
-// checksum of those 64 digest bytes. The table lets a reader verify
-// section *bodies* — not just the header — before swapping a candidate
-// snapshot into service (`verify_sections`); a v1 file carries no digests
-// and still opens and serves unchanged.
+// Both versions end in one trailing table occupying the file's final 72
+// bytes: eight u64 FNV-1a digests, one per data section in header order
+// (0 for an absent section), followed by a u64 FNV-1a checksum of those
+// 64 digest bytes. The table lets a reader verify section *bodies* — not
+// just the header — before swapping a candidate snapshot into service
+// (`verify_sections`).
+//
+// Every file is written by one internal unit (snapshot_writer.h), whichever
+// builder produced it: the in-memory build below, the out-of-core build and
+// the shard split (snapshot_build.h).
 //
 // Version policy: readers reject any version they do not know; format
 // changes bump the version and keep the header field positions stable so
-// a vN reader can refuse — never misread — a vN+1 file.
+// a vN reader can refuse — never misread — a vN+1 file. The legacy v1
+// ("GPSNAP01", flat CSR without the digest table) is retired: it is still
+// recognised by its magic, and refused as an unsupported version.
 #pragma once
 
 #include <cstddef>
@@ -95,7 +100,6 @@
 
 namespace gplus::serve {
 
-inline constexpr std::uint32_t kSnapshotVersion1 = 1;
 inline constexpr std::uint32_t kSnapshotVersion2 = 2;
 inline constexpr std::uint32_t kSnapshotVersion3 = 3;
 /// Version the in-memory builder emits by default. v3 (compressed
@@ -104,9 +108,9 @@ inline constexpr std::uint32_t kSnapshotVersion3 = 3;
 /// tests/test_snapshot_equivalence.cpp is the proof.
 inline constexpr std::uint32_t kSnapshotVersion = kSnapshotVersion2;
 inline constexpr std::uint32_t kSnapshotFlagCountryIndex = 1U << 0;
-/// Data sections carrying a digest in the v2+ trailing table, header order.
+/// Data sections carrying a digest in the trailing table, header order.
 inline constexpr std::size_t kSnapshotSectionCount = 8;
-/// Size of the v2+ trailing table: 8 section digests + 1 table checksum.
+/// Size of the trailing table: 8 section digests + 1 table checksum.
 inline constexpr std::size_t kSnapshotDigestBytes =
     (kSnapshotSectionCount + 1) * 8;
 /// Rows per u64 base entry in a compressed adjacency row index.
@@ -136,9 +140,8 @@ static_assert(sizeof(PackedProfile) == 16);
 struct SnapshotOptions {
   /// Emit the located-users-by-country index section.
   bool country_index = true;
-  /// Format version to emit: kSnapshotVersion2 (flat CSR + digests,
-  /// default), kSnapshotVersion3 (compressed adjacency) or
-  /// kSnapshotVersion1 (legacy, for compatibility testing).
+  /// Format version to emit: kSnapshotVersion2 (flat CSR, default) or
+  /// kSnapshotVersion3 (compressed adjacency).
   std::uint32_t version = kSnapshotVersion;
 };
 
@@ -167,19 +170,20 @@ class SnapshotBuffer {
 };
 
 /// Packs a builder-side profile into its 16-byte serving record. One
-/// definition shared by every snapshot writer, so profile bytes can never
-/// diverge between the in-memory and out-of-core builds.
+/// definition shared by every builder, so profile bytes can never diverge
+/// between the in-memory and out-of-core builds.
 PackedProfile pack_profile(const synth::Profile& profile);
 
 /// Serializes a dataset into the snapshot format. Deterministic: the same
 /// dataset and options produce byte-identical buffers at any thread count
 /// — and, for v3, byte-identical to the out-of-core builder
-/// (snapshot_build.h) fed the same edges and profiles.
+/// (snapshot_build.h) fed the same edges and profiles, since both feed
+/// the same writer. Throws std::runtime_error for any version but 2 or 3.
 SnapshotBuffer build_snapshot(const core::Dataset& dataset,
                               const SnapshotOptions& options = {});
 
 /// Forward cursor over one node's neighbor list, independent of whether
-/// the snapshot stores it flat (v1/v2 span walk) or compressed (v3 varint
+/// the snapshot stores it flat (v2 span walk) or compressed (v3 varint
 /// decode). Either way entries come out in ascending original-id order —
 /// the engine runs one code path over both formats, which is how v3
 /// answers stay bit-identical to v2. Cheap to construct; not thread-safe
@@ -237,12 +241,8 @@ class SnapshotView {
 
   std::size_t node_count() const noexcept { return nodes_; }
   std::size_t edge_count() const noexcept { return edges_; }
-  /// Format version of the underlying file (1, 2 or 3).
+  /// Format version of the underlying file (2 or 3).
   std::uint32_t version() const noexcept { return version_; }
-  /// True when the file carries the v2+ per-section digest table.
-  bool has_section_digests() const noexcept {
-    return version_ >= kSnapshotVersion2;
-  }
   /// True when adjacency is stored compressed (v3).
   bool adjacency_compressed() const noexcept {
     return version_ >= kSnapshotVersion3;
@@ -250,13 +250,12 @@ class SnapshotView {
   bool has_country_index() const noexcept { return country_offsets_ != nullptr; }
 
   /// Deep validation: recomputes every section's FNV-1a digest against the
-  /// v2+ trailing table and throws std::runtime_error naming the first
+  /// trailing table and throws std::runtime_error naming the first
   /// corrupt section. O(total bytes) — the hot-swap install path runs it
-  /// on candidates; the O(1) constructor does not. No-op on v1 files
-  /// (nothing to verify beyond the header).
+  /// on candidates; the O(1) constructor does not.
   void verify_sections() const;
 
-  /// Flat in-place adjacency spans. v1/v2 only — compressed snapshots have
+  /// Flat in-place adjacency spans. v2 only — compressed snapshots have
   /// no flat array to point into; use `out_scan` / `in_scan` instead.
   std::span<const graph::NodeId> out_neighbors(graph::NodeId u) const noexcept {
     return {out_targets_ + out_offsets_[u],
@@ -301,12 +300,12 @@ class SnapshotView {
   /// one block decode) compressed.
   bool has_out_edge(graph::NodeId u, graph::NodeId v) const noexcept;
 
-  /// Number of u's out-edges whose reverse edge exists (v1/v2: popcount
+  /// Number of u's out-edges whose reverse edge exists (v2: popcount
   /// over the reciprocal bitmap range; v3: precomputed per-node count).
   std::uint64_t reciprocal_out_degree(graph::NodeId u) const noexcept;
 
   /// True when out-edge index e (global flat CSR position) is reciprocal.
-  /// v1/v2 only — v3 has no flat edge index (always false there).
+  /// v2 only — v3 has no flat edge index (always false there).
   bool edge_reciprocal(std::uint64_t e) const noexcept {
     if (recip_ == nullptr) return false;
     return (recip_[e >> 6] >> (e & 63)) & 1U;
@@ -345,18 +344,21 @@ class SnapshotView {
                           std::uint64_t body_end);
   void open_compressed_sections(const std::byte* base, std::uint32_t flags,
                                 std::uint64_t body_end);
+  /// Profiles and the optional country index (same in both formats).
+  void open_node_sections(const std::byte* base, std::uint32_t flags,
+                          std::uint64_t body_end);
 
   std::span<const std::byte> bytes_;
   std::uint32_t version_ = 0;
   std::size_t nodes_ = 0;
   std::size_t edges_ = 0;
-  // v1/v2 flat adjacency (null on v3).
+  // v2 flat adjacency (null on v3).
   const std::uint64_t* out_offsets_ = nullptr;
   const graph::NodeId* out_targets_ = nullptr;
   const std::uint64_t* in_offsets_ = nullptr;
   const graph::NodeId* in_targets_ = nullptr;
   const std::uint64_t* recip_ = nullptr;
-  // v3 compressed adjacency (empty on v1/v2).
+  // v3 compressed adjacency (empty on v2).
   CompressedAdjacency out_adj_;
   CompressedAdjacency in_adj_;
   const std::uint32_t* perm_ = nullptr;
@@ -367,7 +369,7 @@ class SnapshotView {
   const std::uint64_t* country_offsets_ = nullptr;  // country_count+1 entries
   const graph::NodeId* country_nodes_ = nullptr;
   std::size_t country_count_ = 0;
-  /// v2+ digest table (8 section digests + table checksum), else nullptr.
+  /// Digest table (8 section digests + table checksum).
   const std::uint64_t* digests_ = nullptr;
 };
 
@@ -379,7 +381,10 @@ bool sniff_snapshot_magic(std::istream& in);
 /// Stream / file serialization of the raw snapshot bytes. Loading validates
 /// by opening a SnapshotView over the result; all failures throw
 /// std::runtime_error ("snapshot: ..." messages, same discipline as
-/// core/dataset_io).
+/// core/dataset_io). `read_snapshot` checks magic, version and header
+/// checksum before sizing anything from the header, and reads the body in
+/// pieces that grow with what arrived, so a short stream fails as truncated
+/// without allocating what its header claims.
 void write_snapshot(const SnapshotBuffer& snapshot, std::ostream& out);
 SnapshotBuffer read_snapshot(std::istream& in);
 void save_snapshot(const SnapshotBuffer& snapshot,

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -18,22 +17,17 @@
 #include <utility>
 
 #include "core/parallel.h"
-#include "geo/countries.h"
 #include "serve/snapshot_format.h"
-#include "serve/varint.h"
+#include "serve/snapshot_writer.h"
 
 namespace gplus::serve {
 
 namespace {
 
-using detail::adjacency_group_count;
-using detail::adjacency_section_bytes;
+using detail::ByteWriter;
 using detail::fnv1a64;
-using detail::kChecksumOffset;
-using detail::kHeaderBytes;
 using detail::load_u32;
 using detail::load_u64;
-using detail::magic_for;
 using detail::pad8;
 using detail::store_u32;
 using detail::store_u64;
@@ -71,40 +65,6 @@ class U64Reader {
   std::vector<std::uint64_t> chunk_;
   std::size_t at_ = 0;
   std::size_t filled_ = 0;
-};
-
-/// Buffered byte writer; fails loudly on short writes.
-class ByteWriter {
- public:
-  explicit ByteWriter(const std::filesystem::path& path) : path_(path) {
-    file_ = std::fopen(path.c_str(), "wb");
-    if (file_ == nullptr) fail("cannot open for writing: " + path.string());
-  }
-  ~ByteWriter() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  ByteWriter(const ByteWriter&) = delete;
-  ByteWriter& operator=(const ByteWriter&) = delete;
-
-  void write(const void* data, std::size_t n) {
-    if (n != 0 && std::fwrite(data, 1, n, file_) != n) {
-      fail("write failed: " + path_.string());
-    }
-    written_ += n;
-  }
-  std::uint64_t written() const noexcept { return written_; }
-  void close() {
-    if (file_ != nullptr && std::fclose(file_) != 0) {
-      file_ = nullptr;
-      fail("close failed: " + path_.string());
-    }
-    file_ = nullptr;
-  }
-
- private:
-  std::filesystem::path path_;
-  std::FILE* file_ = nullptr;
-  std::uint64_t written_ = 0;
 };
 
 std::filesystem::path run_path(const std::filesystem::path& dir,
@@ -168,121 +128,49 @@ void write_run(const std::filesystem::path& dir, std::uint64_t& run_count,
   chunk.clear();
 }
 
-/// One encoded adjacency stream on disk plus its in-RAM row index.
-struct EncodedStream {
-  std::filesystem::path path;
-  std::vector<std::uint64_t> base;
-  std::vector<std::uint32_t> rel;
-  std::uint64_t data_bytes = 0;
-};
-
-/// Encodes every row in rank order, reading each node's edge range from
-/// the sorted edge file via pread (sequential files stay page-cached;
-/// row reads hop with the permutation but never load the file whole).
-/// Neighbor ids are the low 32 bits of each packed tuple. Must mirror
-/// encode_rank_ordered in snapshot.cpp exactly — byte-identity between
-/// the two builders is a tested contract.
-EncodedStream encode_rows(const std::filesystem::path& edges_path,
-                          const std::vector<std::uint64_t>& prefix,
-                          const std::vector<std::uint32_t>& inv,
-                          std::size_t n,
-                          const std::filesystem::path& stream_path) {
-  const int fd = ::open(edges_path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) fail("cannot open merged edges: " + edges_path.string());
-  EncodedStream enc;
-  enc.path = stream_path;
-  enc.base.reserve(adjacency_group_count(n));
-  enc.rel.reserve(n + 1);
-  ByteWriter out(stream_path);
-  std::vector<std::uint64_t> tuples;
-  std::vector<graph::NodeId> row;
-  std::vector<std::uint8_t> bytes;
-  for (std::uint32_t r = 0; r < n; ++r) {
-    if (r % kSnapshotRowGroup == 0) enc.base.push_back(out.written());
-    const std::uint64_t rel = out.written() - enc.base.back();
-    if (rel > 0xFFFFFFFFULL) {
-      ::close(fd);
-      fail("compressed row group exceeds 4 GiB");
+/// Reads rows of a merged edge file: node u's tuples sit at
+/// [prefix[u], prefix[u+1]) and its neighbor ids are their low 32 bits.
+/// Rows are fetched with pread as the rank order hops between them; the
+/// sequential file stays page-cached and is never loaded whole.
+class RowReader {
+ public:
+  RowReader(const std::filesystem::path& path,
+            std::span<const std::uint32_t> degree)
+      : path_(path), prefix_(degree.size() + 1, 0) {
+    for (std::size_t u = 0; u < degree.size(); ++u) {
+      prefix_[u + 1] = prefix_[u] + degree[u];
     }
-    enc.rel.push_back(static_cast<std::uint32_t>(rel));
-    const std::uint32_t u = inv[r];
-    const std::uint64_t degree = prefix[u + 1] - prefix[u];
-    tuples.resize(degree);
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd_ < 0) fail("cannot open merged edges: " + path.string());
+  }
+  ~RowReader() { ::close(fd_); }
+  RowReader(const RowReader&) = delete;
+  RowReader& operator=(const RowReader&) = delete;
+
+  std::span<const graph::NodeId> row(graph::NodeId u) {
+    const std::uint64_t degree = prefix_[u + 1] - prefix_[u];
+    tuples_.resize(degree);
     std::size_t got = 0;
     while (got < degree * 8) {
       const ssize_t k =
-          ::pread(fd, reinterpret_cast<char*>(tuples.data()) + got,
-                  degree * 8 - got,
-                  static_cast<off_t>(prefix[u] * 8 + got));
-      if (k <= 0) {
-        ::close(fd);
-        fail("short read from merged edges: " + edges_path.string());
-      }
+          ::pread(fd_, reinterpret_cast<char*>(tuples_.data()) + got,
+                  degree * 8 - got, static_cast<off_t>(prefix_[u] * 8 + got));
+      if (k <= 0) fail("short read from merged edges: " + path_.string());
       got += static_cast<std::size_t>(k);
     }
-    row.resize(degree);
+    row_.resize(degree);
     for (std::uint64_t i = 0; i < degree; ++i) {
-      row[i] = static_cast<graph::NodeId>(tuples[i] & 0xFFFFFFFFULL);
+      row_[i] = static_cast<graph::NodeId>(tuples_[i] & 0xFFFFFFFFULL);
     }
-    bytes.clear();
-    encode_adjacency_list(row, bytes);
-    out.write(bytes.data(), bytes.size());
+    return row_;
   }
-  ::close(fd);
-  while (enc.base.size() < adjacency_group_count(n)) {
-    enc.base.push_back(out.written());
-  }
-  const std::uint64_t sentinel =
-      out.written() - enc.base[n / kSnapshotRowGroup];
-  if (sentinel > 0xFFFFFFFFULL) fail("compressed row group exceeds 4 GiB");
-  enc.rel.push_back(static_cast<std::uint32_t>(sentinel));
-  enc.data_bytes = out.written();
-  out.close();
-  return enc;
-}
-
-/// Assembly writer: tracks the file offset and hashes whatever lands
-/// inside the open section, so multi-gigabyte sections digest as they
-/// stream instead of needing a second pass.
-class SectionedWriter {
- public:
-  explicit SectionedWriter(const std::filesystem::path& path) : out_(path) {}
-
-  void write(const void* data, std::size_t n) {
-    if (hashing_) hasher_.update(data, n);
-    out_.write(data, n);
-  }
-  void begin_section() {
-    hasher_ = Fnv1aHasher();
-    hashing_ = true;
-  }
-  std::uint64_t end_section() {
-    hashing_ = false;
-    return hasher_.digest();
-  }
-  void pad_to8() {
-    static constexpr std::array<std::uint8_t, 8> zeros{};
-    const std::uint64_t tail = out_.written() % 8;
-    if (tail != 0) write(zeros.data(), 8 - tail);
-  }
-  void append_file(const std::filesystem::path& path) {
-    // Scratch varint streams are byte-granular; copy them as raw bytes.
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) fail("cannot reopen stream: " + path.string());
-    std::vector<std::uint8_t> chunk(1 << 20);
-    std::size_t n = 0;
-    while ((n = std::fread(chunk.data(), 1, chunk.size(), f)) > 0) {
-      write(chunk.data(), n);
-    }
-    std::fclose(f);
-  }
-  std::uint64_t written() const noexcept { return out_.written(); }
-  void close() { out_.close(); }
 
  private:
-  ByteWriter out_;
-  Fnv1aHasher hasher_;
-  bool hashing_ = false;
+  std::filesystem::path path_;
+  std::vector<std::uint64_t> prefix_;
+  int fd_ = -1;
+  std::vector<std::uint64_t> tuples_;
+  std::vector<graph::NodeId> row_;
 };
 
 }  // namespace
@@ -400,7 +288,6 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
   stage("merged_forward");
 
   // Reverse edge file: rotate each tuple to (dst<<32)|src, external-sort.
-  // Doubles as the reversed edge *set* for the reciprocity intersection.
   const auto edges_dst = dir / "edges_dst.u64";
   {
     std::uint64_t rev_runs = 0;
@@ -423,193 +310,24 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
   }
   stage("merged_reverse");
 
-  // Degree-rank permutation — the same ordering rule as the in-memory v3
-  // builder (total degree descending, id ascending on ties).
-  std::vector<std::uint32_t> inv(nodes_);
-  for (std::uint32_t u = 0; u < nodes_; ++u) inv[u] = u;
-  std::sort(inv.begin(), inv.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const std::uint64_t da =
-        std::uint64_t{out_deg[a]} + std::uint64_t{in_deg[a]};
-    const std::uint64_t db =
-        std::uint64_t{out_deg[b]} + std::uint64_t{in_deg[b]};
-    if (da != db) return da > db;
-    return a < b;
-  });
-  std::vector<std::uint32_t> perm(nodes_);
-  for (std::uint32_t r = 0; r < nodes_; ++r) perm[inv[r]] = r;
-
-  auto prefix_of = [&](const std::vector<std::uint32_t>& deg) {
-    std::vector<std::uint64_t> prefix(nodes_ + 1, 0);
-    for (std::size_t u = 0; u < nodes_; ++u) {
-      prefix[u + 1] = prefix[u] + deg[u];
-    }
-    return prefix;
-  };
-
-  EncodedStream out_enc;
-  {
-    const auto prefix = prefix_of(out_deg);
-    out_enc = encode_rows(edges_src, prefix, inv, nodes_, dir / "out_stream");
-  }
-  EncodedStream in_enc;
-  {
-    const auto prefix = prefix_of(in_deg);
-    in_enc = encode_rows(edges_dst, prefix, inv, nodes_, dir / "in_stream");
-  }
-  out_deg.clear();
-  out_deg.shrink_to_fit();
-  in_deg.clear();
-  in_deg.shrink_to_fit();
-  stage("encoded");
-
-  // Reciprocal out-degrees: (a,b) has its reverse edge exactly when the
-  // packed tuple (a<<32)|b appears in the reversed set — a two-pointer
-  // intersection of two sorted streams, one sequential pass each.
-  std::vector<std::uint32_t> recip(nodes_, 0);
-  {
-    U64Reader fwd(edges_src);
-    U64Reader rev(edges_dst);
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    bool have_a = fwd.next(a);
-    bool have_b = rev.next(b);
-    while (have_a && have_b) {
-      if (a == b) {
-        ++recip[static_cast<std::uint32_t>(a >> 32)];
-        have_a = fwd.next(a);
-        have_b = rev.next(b);
-      } else if (a < b) {
-        have_a = fwd.next(a);
-      } else {
-        have_b = rev.next(b);
-      }
-    }
-  }
-
-  // Country index from the packed profiles.
-  const std::size_t countries =
-      options_.country_index ? geo::country_count() : 0;
-  std::vector<std::vector<graph::NodeId>> by_country(countries);
-  std::uint64_t located_total = 0;
-  if (options_.country_index) {
-    for (graph::NodeId u = 0; u < nodes_; ++u) {
-      const PackedProfile& p = profiles_[u];
-      if (p.located() && p.country < countries) {
-        by_country[p.country].push_back(u);
-        ++located_total;
-      }
-    }
-  }
-
-  // Layout — must mirror build_snapshot_v3 exactly.
-  const std::size_t n = nodes_;
-  std::uint64_t at = kHeaderBytes;
-  const std::uint64_t off_out_adj = at;
-  at += adjacency_section_bytes(n, out_enc.data_bytes);
-  const std::uint64_t off_in_adj = at;
-  at += adjacency_section_bytes(n, in_enc.data_bytes);
-  const std::uint64_t off_perm = at;
-  at += pad8(n * 4);
-  const std::uint64_t off_inv = at;
-  at += pad8(n * 4);
-  const std::uint64_t off_recip = at;
-  at += pad8(n * 4);
-  const std::uint64_t off_profiles = at;
-  at += pad8(n * sizeof(PackedProfile));
-  std::uint64_t off_country_offsets = 0;
-  std::uint64_t off_country_nodes = 0;
-  if (options_.country_index) {
-    off_country_offsets = at;
-    at += (countries + 1) * 8;
-    off_country_nodes = at;
-    at += pad8(located_total * 4);
-  }
-  const std::uint64_t total = at + kSnapshotDigestBytes;
-
+  // Encode: one rank-order loop hands the writer both sides of each row,
+  // read back from the two merged files; the writer derives reciprocity
+  // from the pair. Its varint streams spill to scratch files in work_dir.
   const auto tmp_path = path.string() + ".tmp";
-  SectionedWriter out(tmp_path);
+  std::uint64_t total = 0;
   {
-    std::array<std::byte, kHeaderBytes> header{};
-    std::byte* h = header.data();
-    std::memcpy(h, magic_for(kSnapshotVersion3), 8);
-    store_u32(h + 8, kSnapshotVersion3);
-    store_u32(h + 12,
-              options_.country_index ? kSnapshotFlagCountryIndex : 0);
-    store_u64(h + 16, n);
-    store_u64(h + 24, m);
-    store_u64(h + 32, off_out_adj);
-    store_u64(h + 40, off_in_adj);
-    store_u64(h + 48, off_perm);
-    store_u64(h + 56, off_inv);
-    store_u64(h + 64, off_recip);
-    store_u64(h + 72, off_profiles);
-    store_u64(h + 80, off_country_offsets);
-    store_u64(h + 88, off_country_nodes);
-    store_u64(h + 96, total);
-    store_u64(h + kChecksumOffset, fnv1a64(h, kChecksumOffset));
-    out.write(header.data(), kHeaderBytes);
-  }
-
-  std::array<std::uint64_t, kSnapshotSectionCount> digests{};
-  auto write_adjacency = [&](const EncodedStream& enc) {
-    out.begin_section();
-    std::array<std::byte, 16> sub{};
-    store_u64(sub.data(), enc.data_bytes);
-    out.write(sub.data(), 16);
-    out.write(enc.base.data(), enc.base.size() * 8);
-    out.write(enc.rel.data(), enc.rel.size() * 4);
-    out.pad_to8();
-    out.append_file(enc.path);
-    out.pad_to8();
-    return out.end_section();
-  };
-  digests[0] = write_adjacency(out_enc);
-  digests[1] = write_adjacency(in_enc);
-  auto write_u32_section = [&](const std::vector<std::uint32_t>& data) {
-    out.begin_section();
-    out.write(data.data(), data.size() * 4);
-    out.pad_to8();
-    return out.end_section();
-  };
-  digests[2] = write_u32_section(perm);
-  digests[3] = write_u32_section(inv);
-  digests[4] = write_u32_section(recip);
-  out.begin_section();
-  out.write(profiles_.data(), profiles_.size() * sizeof(PackedProfile));
-  out.pad_to8();
-  digests[5] = out.end_section();
-  if (options_.country_index) {
-    out.begin_section();
-    std::vector<std::uint64_t> coffsets(countries + 1, 0);
-    std::uint64_t written = 0;
-    for (std::size_t c = 0; c < countries; ++c) {
-      coffsets[c] = written;
-      written += by_country[c].size();
+    detail::CompressedWriter writer(detail::degree_rank_order(out_deg, in_deg),
+                                    profiles_, options_.country_index, dir);
+    RowReader out_rows(edges_src, out_deg);
+    RowReader in_rows(edges_dst, in_deg);
+    out_deg = {};
+    in_deg = {};
+    for (const graph::NodeId u : writer.rank_order()) {
+      writer.put_row(u, out_rows.row(u), in_rows.row(u));
     }
-    coffsets[countries] = written;
-    out.write(coffsets.data(), coffsets.size() * 8);
-    digests[6] = out.end_section();
-    out.begin_section();
-    for (std::size_t c = 0; c < countries; ++c) {
-      out.write(by_country[c].data(), by_country[c].size() * 4);
-    }
-    out.pad_to8();
-    digests[7] = out.end_section();
+    stage("encoded");
+    total = writer.finish(tmp_path);
   }
-  {
-    std::array<std::byte, kSnapshotDigestBytes> table{};
-    for (std::size_t s = 0; s < kSnapshotSectionCount; ++s) {
-      store_u64(table.data() + s * 8, digests[s]);
-    }
-    store_u64(table.data() + kSnapshotSectionCount * 8,
-              fnv1a64(table.data(), kSnapshotSectionCount * 8));
-    out.write(table.data(), kSnapshotDigestBytes);
-  }
-  if (out.written() != total) {
-    fail("assembled size mismatch (wrote " + std::to_string(out.written()) +
-         ", laid out " + std::to_string(total) + ")");
-  }
-  out.close();
   stage("assemble");
   std::filesystem::rename(tmp_path, path);
 
@@ -622,8 +340,6 @@ OutOfCoreStats OutOfCoreSnapshotBuilder::finish(
   }
   std::filesystem::remove(edges_src, ec);
   std::filesystem::remove(edges_dst, ec);
-  std::filesystem::remove(out_enc.path, ec);
-  std::filesystem::remove(in_enc.path, ec);
   finished_ = true;
 
   OutOfCoreStats stats;
@@ -650,27 +366,16 @@ namespace {
 
 constexpr char kRoutingMagic[8] = {'G', 'P', 'R', 'O', 'U', 'T', 'E', '1'};
 
-/// Degree rank order: total degree descending, ties by ascending id — the
-/// same total order the v3 relabeling uses, recomputed here from the view
-/// so sharding is format-version independent.
-std::vector<std::uint8_t> assign_owners(const SnapshotView& full,
+/// Ownership over the degree rank order (detail::degree_rank_order, the
+/// order v3 relabels by), recomputed from the view's degrees so sharding
+/// is format-version independent.
+std::vector<std::uint8_t> assign_owners(std::span<const std::uint32_t> out_deg,
+                                        std::span<const std::uint32_t> in_deg,
                                         const ShardingOptions& options) {
-  const std::size_t n = full.node_count();
+  const std::size_t n = out_deg.size();
   const std::size_t k = options.shard_count;
-  std::vector<std::uint64_t> deg(n);
-  core::parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      deg[u] = full.out_degree(id) + full.in_degree(id);
-    }
-  });
-  std::vector<graph::NodeId> order(n);
-  std::iota(order.begin(), order.end(), graph::NodeId{0});
-  std::sort(order.begin(), order.end(),
-            [&](graph::NodeId a, graph::NodeId b) {
-              if (deg[a] != deg[b]) return deg[a] > deg[b];
-              return a < b;
-            });
+  const std::vector<std::uint32_t> order =
+      detail::degree_rank_order(out_deg, in_deg);
   std::vector<std::uint8_t> owner(n, 0);
   if (options.policy == ShardingPolicy::kRankStripe) {
     for (std::size_t r = 0; r < n; ++r) {
@@ -680,166 +385,72 @@ std::vector<std::uint8_t> assign_owners(const SnapshotView& full,
   }
   // kRankRange: contiguous rank ranges cut so each carries ~1/K of the
   // total degree mass (+1 per node keeps zero-degree tails spreading).
+  auto mass = [&](std::size_t u) {
+    return std::uint64_t{out_deg[u]} + in_deg[u] + 1;
+  };
   std::uint64_t total_mass = 0;
-  for (std::size_t u = 0; u < n; ++u) total_mass += deg[u] + 1;
+  for (std::size_t u = 0; u < n; ++u) total_mass += mass(u);
   std::uint64_t seen = 0;
   std::size_t s = 0;
   for (std::size_t r = 0; r < n; ++r) {
     const graph::NodeId u = order[r];
-    seen += deg[u] + 1;
+    seen += mass(u);
     owner[u] = static_cast<std::uint8_t>(s);
     while (s + 1 < k && seen * k >= total_mass * (s + 1)) ++s;
   }
   return owner;
 }
 
-/// Builds shard `s` as a self-contained v2 snapshot over the global id
-/// space, holding exactly E_s = {(a,b) : owner(a)==s or owner(b)==s}.
-SnapshotBuffer build_shard_buffer(const SnapshotView& full,
-                                  const std::vector<std::uint8_t>& owner,
-                                  std::size_t s) {
-  const std::size_t n = full.node_count();
-  const auto mine = static_cast<std::uint8_t>(s);
+/// One row decoded from the source view, plus a copy grouped by the owner
+/// of each neighbor. The grouping is a stable counting sort, so each
+/// group stays ascending.
+struct OwnerGroups {
+  std::vector<graph::NodeId> row, by;
+  std::vector<std::uint32_t> start, cursor;  // k + 1 bounds, k cursors
 
-  // Filtered per-node degrees (parallel, disjoint writes), then serial
-  // prefix sums. Membership is symmetric in (a,b), so both CSRs hold the
-  // same arc count — the flat-open validation the view enforces.
-  std::vector<std::uint64_t> out_deg(n, 0);
-  std::vector<std::uint64_t> in_deg(n, 0);
-  core::parallel_for(n, 1024, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      if (owner[u] == mine) {
-        out_deg[u] = full.out_degree(id);
-        in_deg[u] = full.in_degree(id);
-        continue;
-      }
-      NeighborScan out = full.out_scan(id);
-      graph::NodeId v = 0;
-      std::uint64_t kept = 0;
-      while (out.next(v)) kept += owner[v] == mine ? 1 : 0;
-      out_deg[u] = kept;
-      NeighborScan in = full.in_scan(id);
-      kept = 0;
-      while (in.next(v)) kept += owner[v] == mine ? 1 : 0;
-      in_deg[u] = kept;
-    }
-  });
-
-  std::uint64_t m_s = 0;
-  std::uint64_t m_in = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    m_s += out_deg[u];
-    m_in += in_deg[u];
+  void load(NeighborScan scan, const std::vector<std::uint8_t>& owner,
+            std::size_t k) {
+    row.resize(scan.size());
+    for (graph::NodeId& v : row) scan.next(v);
+    start.assign(k + 1, 0);
+    for (const graph::NodeId v : row) ++start[owner[v] + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    cursor.assign(start.begin(), start.end() - 1);
+    by.resize(row.size());
+    for (const graph::NodeId v : row) by[cursor[owner[v]]++] = v;
   }
-  if (m_s != m_in) fail("shard split: out/in arc counts diverged");
-
-  // v2 layout, minus the country index (shards never serve it).
-  std::size_t at = kHeaderBytes;
-  const std::size_t off_out_offsets = at;
-  at += (n + 1) * 8;
-  const std::size_t off_out_targets = at;
-  at += pad8(m_s * 4);
-  const std::size_t off_in_offsets = at;
-  at += (n + 1) * 8;
-  const std::size_t off_in_targets = at;
-  at += pad8(m_s * 4);
-  const std::size_t off_recip = at;
-  const std::size_t recip_words = (m_s + 63) / 64;
-  at += recip_words * 8;
-  const std::size_t off_profiles = at;
-  at += pad8(n * sizeof(PackedProfile));
-  const std::size_t off_digests = at;
-  at += kSnapshotDigestBytes;
-  const std::size_t total = at;
-
-  SnapshotBuffer buffer(std::vector<std::uint64_t>((total + 7) / 8, 0), total);
-  std::byte* base = buffer.data();
-
-  std::memcpy(base, magic_for(kSnapshotVersion2), 8);
-  store_u32(base + 8, kSnapshotVersion2);
-  store_u32(base + 12, 0);
-  store_u64(base + 16, n);
-  store_u64(base + 24, m_s);
-  store_u64(base + 32, off_out_offsets);
-  store_u64(base + 40, off_out_targets);
-  store_u64(base + 48, off_in_offsets);
-  store_u64(base + 56, off_in_targets);
-  store_u64(base + 64, off_recip);
-  store_u64(base + 72, off_profiles);
-  store_u64(base + 80, 0);
-  store_u64(base + 88, 0);
-  store_u64(base + 96, total);
-  store_u64(base + kChecksumOffset, fnv1a64(base, kChecksumOffset));
-
-  auto* out_offsets = reinterpret_cast<std::uint64_t*>(base + off_out_offsets);
-  auto* in_offsets = reinterpret_cast<std::uint64_t*>(base + off_in_offsets);
-  for (std::size_t u = 0; u < n; ++u) {
-    out_offsets[u + 1] = out_offsets[u] + out_deg[u];
-    in_offsets[u + 1] = in_offsets[u] + in_deg[u];
+  std::span<const graph::NodeId> group(std::size_t s) const {
+    return std::span(by).subspan(start[s], start[s + 1] - start[s]);
   }
+};
 
-  // Targets and profiles: parallel, each node writes its own slices.
-  // Source scans are ascending, filtering preserves that, so shard rows
-  // keep the sorted-adjacency invariant the engine depends on.
-  auto* out_targets = reinterpret_cast<graph::NodeId*>(base + off_out_targets);
-  auto* in_targets = reinterpret_cast<graph::NodeId*>(base + off_in_targets);
-  auto* profiles = reinterpret_cast<PackedProfile*>(base + off_profiles);
-  core::parallel_for(n, 1024, [&](std::size_t begin, std::size_t end) {
+/// Calls emit(s, u, out, in) with node u's rows in shard s, for every node
+/// and shard: complete in the owner's shard, filtered to shard s's
+/// neighbors elsewhere — E_s keeps exactly the arcs with an endpoint owned
+/// by s. One decode of each source row; parallel over nodes, so `emit`
+/// may only write state disjoint per node.
+template <typename Emit>
+void for_each_shard_row(const SnapshotView& full,
+                        const std::vector<std::uint8_t>& owner, std::size_t k,
+                        Emit&& emit) {
+  core::parallel_for(owner.size(), 1024, [&](std::size_t begin,
+                                             std::size_t end) {
+    OwnerGroups out;
+    OwnerGroups in;
     for (std::size_t u = begin; u < end; ++u) {
       const auto id = static_cast<graph::NodeId>(u);
-      const bool owned = owner[u] == mine;
-      NeighborScan out = full.out_scan(id);
-      graph::NodeId v = 0;
-      std::size_t w = out_offsets[u];
-      while (out.next(v)) {
-        if (owned || owner[v] == mine) out_targets[w++] = v;
-      }
-      NeighborScan in = full.in_scan(id);
-      w = in_offsets[u];
-      while (in.next(v)) {
-        if (owned || owner[v] == mine) in_targets[w++] = v;
-      }
-      if (owned) profiles[u] = full.profile(id);
-      // Non-owned profile rows stay zero: they are never served.
-    }
-  });
-
-  // Reciprocal bitmap over the shard's out CSR, against the FULL graph:
-  // (a,b) in E_s and (b,a) in E implies (b,a) in E_s too (membership is
-  // symmetric), so owned rows report globally-correct reciprocity.
-  std::vector<std::uint8_t> recip_bytes(m_s, 0);
-  core::parallel_for(n, 256, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      const auto id = static_cast<graph::NodeId>(u);
-      for (std::size_t e = out_offsets[u]; e < out_offsets[u + 1]; ++e) {
-        if (full.has_out_edge(out_targets[e], id)) recip_bytes[e] = 1;
+      out.load(full.out_scan(id), owner, k);
+      in.load(full.in_scan(id), owner, k);
+      for (std::size_t s = 0; s < k; ++s) {
+        if (owner[u] == s) {
+          emit(s, id, std::span<const graph::NodeId>(out.row),
+               std::span<const graph::NodeId>(in.row));
+        } else {
+          emit(s, id, out.group(s), in.group(s));
+        }
       }
     }
   });
-  auto* recip = reinterpret_cast<std::uint64_t*>(base + off_recip);
-  for (std::size_t e = 0; e < m_s; ++e) {
-    if (recip_bytes[e]) recip[e >> 6] |= std::uint64_t{1} << (e & 63);
-  }
-
-  const std::pair<std::size_t, std::size_t> sections[kSnapshotSectionCount] = {
-      {off_out_offsets, (n + 1) * 8},
-      {off_out_targets, pad8(m_s * 4)},
-      {off_in_offsets, (n + 1) * 8},
-      {off_in_targets, pad8(m_s * 4)},
-      {off_recip, recip_words * 8},
-      {off_profiles, pad8(n * sizeof(PackedProfile))},
-      {0, 0},
-      {0, 0},
-  };
-  auto* digests = base + off_digests;
-  for (std::size_t sec = 0; sec < kSnapshotSectionCount; ++sec) {
-    const auto [off, len] = sections[sec];
-    store_u64(digests + sec * 8, off == 0 ? 0 : fnv1a64(base + off, len));
-  }
-  store_u64(digests + kSnapshotSectionCount * 8,
-            fnv1a64(digests, kSnapshotSectionCount * 8));
-  return buffer;
 }
 
 }  // namespace
@@ -847,18 +458,64 @@ SnapshotBuffer build_shard_buffer(const SnapshotView& full,
 ShardedSnapshot split_snapshot(const SnapshotView& full,
                                const ShardingOptions& options) {
   const std::size_t n = full.node_count();
-  if (options.shard_count == 0) fail("shard split: shard_count 0");
-  if (options.shard_count > 256) fail("shard split: more than 256 shards");
-  if (options.shard_count > n) {
-    fail("shard split: more shards than nodes");
-  }
+  const std::size_t k = options.shard_count;
+  if (k == 0) fail("shard split: shard_count 0");
+  if (k > 256) fail("shard split: more than 256 shards");
+  if (k > n) fail("shard split: more shards than nodes");
+
+  std::vector<std::uint32_t> out_deg(n);
+  std::vector<std::uint32_t> in_deg(n);
+  core::parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t u = begin; u < end; ++u) {
+      const auto id = static_cast<graph::NodeId>(u);
+      out_deg[u] = static_cast<std::uint32_t>(full.out_degree(id));
+      in_deg[u] = static_cast<std::uint32_t>(full.in_degree(id));
+    }
+  });
   ShardedSnapshot result;
-  result.routing.shard_count = static_cast<std::uint32_t>(options.shard_count);
+  result.routing.shard_count = static_cast<std::uint32_t>(k);
   result.routing.policy = options.policy;
-  result.routing.owner = assign_owners(full, options);
-  result.shards.reserve(options.shard_count);
-  for (std::size_t s = 0; s < options.shard_count; ++s) {
-    result.shards.push_back(build_shard_buffer(full, result.routing.owner, s));
+  result.routing.owner = assign_owners(out_deg, in_deg, options);
+  const std::vector<std::uint8_t>& owner = result.routing.owner;
+
+  // Two passes over the source: one counts every shard's degrees, one
+  // fills every shard.
+  std::vector<std::vector<std::uint32_t>> shard_out(
+      k, std::vector<std::uint32_t>(n, 0));
+  std::vector<std::vector<std::uint32_t>> shard_in(
+      k, std::vector<std::uint32_t>(n, 0));
+  for_each_shard_row(full, owner, k,
+                     [&](std::size_t s, graph::NodeId u,
+                         std::span<const graph::NodeId> out,
+                         std::span<const graph::NodeId> in) {
+                       shard_out[s][u] = static_cast<std::uint32_t>(out.size());
+                       shard_in[s][u] = static_cast<std::uint32_t>(in.size());
+                     });
+
+  // Shards are v2 without a country index. Only owned profiles are kept;
+  // the other records stay zero, since they are never served. A shard's
+  // degree arrays go as soon as its writer has laid out its offsets.
+  std::vector<detail::FlatWriter> writers;
+  writers.reserve(k);
+  std::vector<PackedProfile> profiles(n);
+  for (std::size_t s = 0; s < k; ++s) {
+    for (graph::NodeId u = 0; u < n; ++u) {
+      profiles[u] =
+          owner[u] == s ? full.profile(u) : PackedProfile{.country = 0};
+    }
+    writers.emplace_back(shard_out[s], shard_in[s], profiles, false);
+    shard_out[s] = {};
+    shard_in[s] = {};
+  }
+  for_each_shard_row(full, owner, k,
+                     [&](std::size_t s, graph::NodeId u,
+                         std::span<const graph::NodeId> out,
+                         std::span<const graph::NodeId> in) {
+                       writers[s].put_row(u, out, in);
+                     });
+  result.shards.reserve(k);
+  for (detail::FlatWriter& writer : writers) {
+    result.shards.push_back(writer.finish());
   }
   return result;
 }

@@ -8,18 +8,22 @@
 //   finish   ──▶ k-way dedup merge ──▶ edges_src (by (src,dst))
 //            ──▶ chunk transform+sort ──▶ edges_dst (by (dst,src))
 //            ──▶ rank permutation from the merged degree counts
-//            ──▶ encode rows rank-ordered (pread per row, page-cached)
-//            ──▶ reciprocal counts: two-pointer E ∩ reverse(E)
-//            ──▶ assemble file, digest sections streaming, atomic rename
+//            ──▶ one rank-order loop: pread u's out row from edges_src and
+//                its in row from edges_dst, feed both to the v3 writer
+//                (snapshot_writer.h), which encodes them to scratch
+//                streams and counts reciprocity by merging the pair
+//            ──▶ writer assembles the file, digesting sections as they
+//                stream; atomic rename
 //
 // Peak RAM is O(n) small arrays (degrees, permutation, row index,
 // profiles) plus the sort buffer — the O(m) edge data never leaves disk.
 // The merge drops duplicate edges and self-loops, exactly the
-// GraphBuilder semantics, and every stage is deterministic, so the final
-// file is byte-identical to `build_snapshot(..., {.version = 3})` on the
-// same logical graph — a tested contract (tests/test_snapshot_equivalence)
-// that also makes crash-resume verifiable: a resumed build must reproduce
-// the uninterrupted bytes exactly.
+// GraphBuilder semantics, and every stage is deterministic. The in-memory
+// `build_snapshot(..., {.version = 3})` feeds the same writer the same
+// rows, so the two files are byte-identical by construction
+// (tests/test_snapshot_equivalence checks it, and pins the bytes), which
+// also makes crash-resume verifiable: a resumed build must reproduce the
+// uninterrupted bytes exactly.
 //
 // Crash recovery: flushed runs and the ingest count are recorded in a
 // manifest (updated atomically after every flush). A new builder on the
@@ -134,6 +138,10 @@ class OutOfCoreSnapshotBuilder {
 // cluster answer single-shard request families answer-identically to the
 // unsharded engine (DESIGN.md §13). Non-owned rows are partial and are
 // never served directly. Shards carry no country index.
+//
+// All K shards come from two passes over the source, one counting every
+// shard's per-node degrees and one filling every shard's v2 writer; each
+// pass decodes each source row once.
 // ---------------------------------------------------------------------------
 
 /// Shard-ownership policy over the degree rank space.
@@ -169,9 +177,9 @@ struct ShardedSnapshot {
 };
 
 /// Splits `full` into `options.shard_count` vertex shards. Deterministic
-/// in (snapshot bytes, options) at any GPLUS_THREADS; works on any
-/// readable snapshot version (v1/v2/v3). Throws std::runtime_error on
-/// shard_count of 0, > 256, or > node_count.
+/// in (snapshot bytes, options) at any GPLUS_THREADS; a v2 and a v3
+/// source of the same graph give byte-identical shards. Throws
+/// std::runtime_error on shard_count of 0, > 256, or > node_count.
 ShardedSnapshot split_snapshot(const SnapshotView& full,
                                const ShardingOptions& options);
 

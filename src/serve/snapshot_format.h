@@ -1,11 +1,9 @@
-// Internal layout helpers shared by the snapshot writers and reader.
-//
-// Byte-identity between the in-memory builder (snapshot.cpp) and the
-// out-of-core builder (snapshot_build.cpp) is a tested contract — both
-// must emit exactly the same header fields, section paddings and digest
-// table for the same logical content. Keeping the arithmetic here, in one
-// place, is what makes that contract hold by construction instead of by
-// parallel maintenance. Not part of the public snapshot API.
+// Internal byte-level helpers shared by the snapshot writer
+// (snapshot_writer.cpp), the reader (snapshot.cpp) and the routing-table
+// file: magic strings, FNV-1a, padding, little-endian loads and stores,
+// and the compressed-section size arithmetic. The writer alone decides
+// where sections go; the reader re-derives the same sizes from here to
+// validate untrusted files. Not part of the public snapshot API.
 #pragma once
 
 #include <bit>
@@ -21,14 +19,9 @@ inline constexpr char kMagicV3[8] = {'G', 'P', 'S', 'N', 'A', 'P', '0', '3'};
 inline constexpr std::size_t kHeaderBytes = 112;
 inline constexpr std::size_t kChecksumOffset = 104;
 
-/// Magic for a given format version (1, 2 or 3).
-inline const char* magic_for(std::uint32_t version) {
-  if (version == 1) return kMagicV1;
-  if (version == 3) return kMagicV3;
-  return kMagicV2;
-}
-
-/// Parses the 8-byte magic into a version, or 0 when it is not ours.
+/// Parses the 8-byte magic into a version, or 0 when it is not ours. The
+/// retired v1 magic still parses, so a v1 file is refused by version
+/// ("unsupported version 1") rather than mistaken for foreign bytes.
 inline std::uint32_t version_from_magic(const void* magic) {
   if (std::memcmp(magic, kMagicV1, sizeof kMagicV1) == 0) return 1;
   if (std::memcmp(magic, kMagicV2, sizeof kMagicV2) == 0) return 2;

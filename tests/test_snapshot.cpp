@@ -176,15 +176,33 @@ TEST_F(SnapshotRoundTrip, RejectsCorruptHeader) {
 }
 
 TEST_F(SnapshotRoundTrip, RejectsUnknownVersion) {
-  auto words = mutable_copy(snapshot());
-  auto* bytes = reinterpret_cast<std::uint8_t*>(words.data());
-  bytes[8] = 99;  // version field
-  reseal_header(words);
-  try {
-    SnapshotView view(as_bytes(words, snapshot().size()));
-    FAIL() << "unknown version accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("version"), std::string::npos);
+  // 99 is from the future; 1 is the retired GPSNAP01, whose magic is
+  // still recognised so it is refused by version, not as foreign bytes.
+  for (const std::uint8_t version : {std::uint8_t{99}, std::uint8_t{1}}) {
+    auto words = mutable_copy(snapshot());
+    auto* bytes = reinterpret_cast<std::uint8_t*>(words.data());
+    bytes[8] = version;  // version field
+    if (version == 1) std::memcpy(bytes, "GPSNAP01", 8);
+    reseal_header(words);
+    const std::string want = "unsupported version " +
+                             std::to_string(version) +
+                             " (reader knows 2 and 3)";
+    try {
+      SnapshotView view(as_bytes(words, snapshot().size()));
+      FAIL() << "version " << int{version} << " accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(want), std::string::npos)
+          << error.what();
+    }
+    std::istringstream stream(std::string(
+        reinterpret_cast<const char*>(bytes), snapshot().size()));
+    try {
+      read_snapshot(stream);
+      FAIL() << "version " << int{version} << " read";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(want), std::string::npos)
+          << error.what();
+    }
   }
 }
 
@@ -219,39 +237,32 @@ TEST_F(SnapshotRoundTrip, RejectsTruncation) {
   // Not a snapshot at all.
   std::istringstream garbage("definitely not a snapshot file .......");
   EXPECT_THROW(read_snapshot(garbage), std::runtime_error);
-}
-
-TEST_F(SnapshotRoundTrip, V1BuildsOpensAndServesUnchanged) {
-  SnapshotOptions options;
-  options.version = kSnapshotVersion1;
-  const SnapshotBuffer v1 = build_snapshot(dataset(), options);
-  EXPECT_EQ(std::memcmp(v1.bytes().data(), "GPSNAP01", 8), 0);
-  // v2 is exactly v1 plus the trailing digest table.
-  EXPECT_EQ(v1.size() + kSnapshotDigestBytes, snapshot().size());
-
-  const SnapshotView view(v1.bytes());
-  EXPECT_EQ(view.version(), kSnapshotVersion1);
-  EXPECT_FALSE(view.has_section_digests());
-  EXPECT_NO_THROW(view.verify_sections());  // nothing to verify on v1
-
-  // Same dataset, same serving surface: adjacency and profiles agree
-  // with the v2 view byte for byte.
-  const SnapshotView v2(snapshot().bytes());
-  ASSERT_EQ(view.node_count(), v2.node_count());
-  ASSERT_EQ(view.edge_count(), v2.edge_count());
-  for (graph::NodeId u = 0; u < view.node_count(); u += 97) {
-    const auto a = view.out_neighbors(u);
-    const auto b = v2.out_neighbors(u);
-    ASSERT_EQ(a.size(), b.size()) << u;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << u;
-    EXPECT_EQ(view.profile(u), v2.profile(u)) << u;
+  // A lone header claiming 2^62 bytes: with a valid checksum the body
+  // read fails as truncated, with a corrupt one the checksum does. Neither
+  // may size an allocation from the claim (std::bad_alloc is not a
+  // std::runtime_error).
+  for (const bool reseal : {true, false}) {
+    auto words = mutable_copy(snapshot());
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    std::memcpy(reinterpret_cast<std::byte*>(words.data()) + 96, &huge, 8);
+    if (reseal) reseal_header(words);
+    std::istringstream claim(
+        std::string(reinterpret_cast<const char*>(words.data()), 112));
+    try {
+      read_snapshot(claim);
+      FAIL() << "2^62-byte claim accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find(reseal ? "truncated stream" : "checksum"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 
 TEST_F(SnapshotRoundTrip, V2DigestTableVerifies) {
   const SnapshotView view(snapshot().bytes());
   EXPECT_EQ(view.version(), kSnapshotVersion2);
-  EXPECT_TRUE(view.has_section_digests());
   EXPECT_NO_THROW(view.verify_sections());
 }
 
@@ -335,11 +346,34 @@ class SnapshotV3 : public SnapshotRoundTrip {
   }
 };
 
+TEST_F(SnapshotV3, RejectsImpossibleCountryIndex) {
+  // country_offsets[last] is the located-user count the country_nodes
+  // section is sized from. 2^62+1 wraps the 4-byte-per-entry length to a
+  // tiny one, which must not let either format open over a 4.6e18-entry
+  // span.
+  for (const SnapshotBuffer* built : {&snapshot(), &v3()}) {
+    auto words = mutable_copy(*built);
+    auto* bytes = reinterpret_cast<std::byte*>(words.data());
+    std::uint64_t offsets_at = 0;
+    std::memcpy(&offsets_at, bytes + 80, 8);
+    ASSERT_NE(offsets_at, 0u);
+    const std::uint64_t located = (std::uint64_t{1} << 62) + 1;
+    std::memcpy(bytes + offsets_at + geo::country_count() * 8, &located, 8);
+    try {
+      SnapshotView view(as_bytes(words, built->size()));
+      FAIL() << "impossible country index accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("country index impossible"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST_F(SnapshotV3, CompressedAdjacencyMatchesGraph) {
   const SnapshotView view(v3().bytes());
   EXPECT_EQ(view.version(), kSnapshotVersion3);
   EXPECT_TRUE(view.adjacency_compressed());
-  EXPECT_TRUE(view.has_section_digests());
   EXPECT_NO_THROW(view.verify_sections());
   const auto& g = dataset().graph();
   ASSERT_EQ(view.node_count(), g.node_count());
